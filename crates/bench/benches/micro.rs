@@ -228,20 +228,13 @@ fn bench_storage_ablation(c: &mut Criterion) {
 }
 
 fn bench_frag_ablation(c: &mut Criterion) {
-    // Ablation: the allocator modes on one adversarially fragmented
+    // Ablation: the buddy+SG pool on one adversarially fragmented
     // pressure point — every iteration re-asserts the zero-copy and
     // conservation invariants inside frag_run; wall time tracks the
-    // first-fit scan vs the buddy free-list walk vs SG chaining.
-    use decaf_core::shmring::AllocMode;
-    for (label, mode) in [
-        ("first-fit", AllocMode::FirstFit),
-        ("buddy", AllocMode::Buddy),
-        ("buddy-sg", AllocMode::BuddySg),
-    ] {
-        c.bench_function(&format!("frag/pinned50[{label}]"), |b| {
-            b.iter(|| decaf_core::experiments::frag_run(mode, 50))
-        });
-    }
+    // buddy free-list walk and SG chaining.
+    c.bench_function("frag/pinned50", |b| {
+        b.iter(|| decaf_core::experiments::frag_run(50))
+    });
 }
 
 fn bench_transport_ablation(c: &mut Criterion) {

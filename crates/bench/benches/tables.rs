@@ -256,41 +256,54 @@ fn storage_ablation() {
 }
 
 fn frag_ablation() {
-    banner("Fragmentation ablation: allocator modes under adversarial pool pressure");
+    banner("Fragmentation ablation: the buddy+SG pool under adversarial pinning");
+    let verdict = |refuses: bool| if refuses { "refuse" } else { "fits" }.to_string();
     let mut t = Table::new("");
     t.columns(&[
-        "Mode",
         "Pinned %",
         "Attempts",
         "Failures",
-        "Fail rate",
         "FragRef",
         "Exhausted",
         "Copied",
+        "Virt. µs",
         "Virt.Mb/s",
+        "Need",
+        "FreeRun",
+        "FirstFit",
+        "FreeBlk",
+        "Buddy",
     ]);
     for row in experiments::frag_ablation() {
         t.row(vec![
-            row.label.to_string(),
             row.pressure.to_string(),
             row.attempts.to_string(),
             row.failures.to_string(),
-            format!("{:.2}", row.failure_rate()),
             row.frag_refusals.to_string(),
             row.exhausted.to_string(),
             row.bytes_copied.to_string(),
+            format!("{:.3}", row.virtual_ns as f64 / 1e3),
             format!("{:.1}", row.virtual_mbps()),
+            row.need.to_string(),
+            row.largest_free_run.to_string(),
+            verdict(row.first_fit_refuses()),
+            row.largest_free_block.to_string(),
+            verdict(row.buddy_refuses()),
         ]);
     }
     print!("{}", t.render());
     println!(
-        "(each cell pins Pinned% of the sector pool as scattered singles,\n\
-         then fires multi-sector flash writes. FragRef counts refusals\n\
-         issued while free bytes sufficed — the contiguity-requiring modes\n\
-         saturate it under pressure; buddy+SG chains scattered blocks into\n\
-         one URB and holds failures AND FragRef at zero across the sweep\n\
-         (asserted inside frag_ablation), with Copied exactly zero in\n\
-         every cell)"
+        "(each row pins Pinned% of the sector pool as scattered singles,\n\
+         then fires multi-sector flash writes through the single-queue\n\
+         uhci ring build. The pool chains scattered blocks into one URB\n\
+         and holds Failures AND FragRef at zero across the sweep\n\
+         (asserted inside frag_ablation), with Copied exactly zero. The\n\
+         right-hand columns read the pinned free map: FreeRun is its\n\
+         longest run of adjacent free sectors, FreeBlk its largest buddy\n\
+         block; FirstFit / Buddy say whether a contiguity-requiring\n\
+         allocator would refuse every attempt — first-fit needs a run of\n\
+         Need sectors, aligned buddy a block of Need rounded up to a\n\
+         power of two)"
     );
 }
 

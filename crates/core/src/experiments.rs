@@ -937,11 +937,13 @@ pub fn storage_run(kind: DataPathKind) -> StorageAblationRow {
             ("batched-copy (marshal)", Rc::clone(&d.channel), None)
         }
         DataPathKind::Shmring => {
-            let d =
-                decaf_drivers::uhci::install_shmring(&k, "uhci0").expect("shmring uhci installs");
+            // The single-queue ring build: one shard, so its one channel
+            // carries every crossing.
+            let d = decaf_drivers::uhci::install_sharded(&k, "uhci0", 1)
+                .expect("single-queue ring uhci installs");
             (
                 "shmring (descriptors)",
-                Rc::clone(&d.channel),
+                Rc::clone(d.channels.shard(0)),
                 Some(Rc::clone(&d.urb_path)),
             )
         }
@@ -975,7 +977,7 @@ pub fn storage_run(kind: DataPathKind) -> StorageAblationRow {
     );
     if let Some(path) = &urb_path {
         assert!(path.conserved(), "URB conservation violated");
-        assert_eq!(path.pool().in_use_sectors(), 0, "sector runs leaked");
+        assert_eq!(path.set().pool().in_use_sectors(), 0, "sector runs leaked");
         assert_eq!(
             k.stats().bytes_copied - copied_before,
             0,
@@ -1029,12 +1031,12 @@ pub const FRAG_PRESSURES: [usize; 5] = [0, 25, 50, 75, 90];
 /// Multi-sector write attempts per cell.
 pub const FRAG_ATTEMPTS: usize = 24;
 
-/// One cell of the fragmentation ablation: a pool-allocation mode under
-/// one adversarial pressure point.
+/// One pressure point of the fragmentation ablation: the buddy+SG
+/// sector pool under one adversarial pinning, driven through the uhci
+/// ring build, plus what a contiguity-requiring allocator would have
+/// done with the same pinned free map.
 #[derive(Debug, Clone)]
 pub struct FragAblationRow {
-    /// Allocation-mode label.
-    pub label: &'static str,
     /// Percent of the pool pinned as scattered single sectors.
     pub pressure: usize,
     /// Multi-sector write URBs attempted.
@@ -1044,18 +1046,27 @@ pub struct FragAblationRow {
     pub failures: u64,
     /// Attempts whose completion came home with status 0.
     pub completed: u64,
-    /// Pool refusals issued while free bytes sufficed (retries
-    /// included) — the counter the buddy+SG mode must hold at zero.
+    /// Pool refusals issued while free sectors sufficed (retries
+    /// included) — the completeness tripwire, zero on a correct pool.
     pub frag_refusals: u64,
     /// Pool refusals issued with genuinely too few free sectors.
     pub exhausted: u64,
-    /// CPU-copied payload bytes during the workload (every mode adopts;
-    /// must be zero).
+    /// CPU-copied payload bytes during the workload (payloads are
+    /// adopted; must be zero).
     pub bytes_copied: u64,
     /// Payload bytes landed on flash by completed writes.
     pub payload_bytes: u64,
     /// Total busy virtual time consumed by the workload (ns).
     pub virtual_ns: u64,
+    /// Pool sectors one attempt needs.
+    pub need: usize,
+    /// Longest run of adjacent free sectors in the pinned free map
+    /// ([`decaf_shmring::SectorPool::largest_free_run`]): the most a
+    /// first-fit allocator could place.
+    pub largest_free_run: usize,
+    /// Largest free buddy block in the pinned free map: the most an
+    /// aligned buddy allocator without chaining could hand out.
+    pub largest_free_block: usize,
 }
 
 impl FragAblationRow {
@@ -1074,30 +1085,38 @@ impl FragAblationRow {
         }
         (self.payload_bytes as f64 * 8.0) / (self.virtual_ns as f64 / 1e9) / 1e6
     }
+
+    /// First-fit would refuse every attempt: no free run holds `need`
+    /// sectors, although the pool has the bytes.
+    pub fn first_fit_refuses(&self) -> bool {
+        self.largest_free_run < self.need
+    }
+
+    /// An aligned buddy allocator without chaining would refuse every
+    /// attempt: it serves `need` sectors from a block of the next power
+    /// of two, and no free block is that large.
+    pub fn buddy_refuses(&self) -> bool {
+        self.largest_free_block < self.need.next_power_of_two()
+    }
 }
 
-/// Runs one fragmentation cell: install the shmring uhci build with the
-/// given pool [`decaf_shmring::AllocMode`], pin `pressure`% of the sector pool as
-/// *scattered* single-sector chains (allocate every sector as a single,
-/// free the evenly-spread rest — the adversarial schedule that defeats
-/// any contiguity-requiring allocator while leaving plenty of free
-/// bytes), then attempt a burst of multi-sector flash writes and report
-/// who refused what.
-pub fn frag_run(mode: decaf_shmring::AllocMode, pressure: usize) -> FragAblationRow {
+/// Runs one fragmentation cell: install the single-queue uhci ring
+/// build, pin `pressure`% of its sector pool as *scattered*
+/// single-sector chains (allocate every sector as a single, free the
+/// evenly-spread rest — the adversarial schedule that defeats any
+/// contiguity-requiring allocator while leaving plenty of free bytes),
+/// read the pinned free map's largest run and block, then attempt a
+/// burst of multi-sector flash writes and report who refused what.
+pub fn frag_run(pressure: usize) -> FragAblationRow {
     use decaf_simdev::uhci as hwreg;
     use decaf_simkernel::usb::{Urb, UrbDir};
     use std::cell::Cell;
     use std::rc::Rc;
 
-    let label = match mode {
-        decaf_shmring::AllocMode::FirstFit => "first-fit",
-        decaf_shmring::AllocMode::Buddy => "buddy",
-        decaf_shmring::AllocMode::BuddySg => "buddy+SG",
-    };
     let k = Kernel::new();
-    let drv = decaf_drivers::uhci::install_shmring_with(&k, "uhci0", mode)
-        .expect("shmring uhci installs");
-    let pool = drv.urb_path.pool();
+    let drv = decaf_drivers::uhci::install_sharded(&k, "uhci0", 1)
+        .expect("single-queue ring uhci installs");
+    let pool = drv.urb_path.set().pool();
 
     // Adversarial pinning: every sector leaves the pool as a
     // single-sector chain, then the evenly-spread complement comes back
@@ -1117,6 +1136,14 @@ pub fn frag_run(mode: decaf_shmring::AllocMode, pressure: usize) -> FragAblation
             pool.free_sg(h).expect("pinning frees its own chains");
         }
     }
+    // What a contiguity-requiring allocator would see: the pinned free
+    // map, which every attempt starts from (each completes and frees its
+    // chain before the next).
+    let free_map = |pool: &decaf_shmring::SectorPool| {
+        let block = pool.free_extents().iter().map(|&(_, n)| n).max();
+        (pool.largest_free_run(), block.unwrap_or(0))
+    };
+    let (largest_free_run, largest_free_block) = free_map(pool);
 
     let stats_before = pool.stats();
     let copied_before = k.stats().bytes_copied;
@@ -1129,6 +1156,7 @@ pub fn frag_run(mode: decaf_shmring::AllocMode, pressure: usize) -> FragAblation
     // pool sectors — trivially satisfied by a fresh pool, impossible for
     // a contiguity-requiring allocator once the free map is singles.
     let payload_len = 3 * hwreg::SECTOR_SIZE - 36;
+    let need = pool.sectors_for(5 + payload_len);
     let completed = Rc::new(Cell::new(0u64));
     let mut failures = 0u64;
     for t in 0..FRAG_ATTEMPTS {
@@ -1157,7 +1185,7 @@ pub fn frag_run(mode: decaf_shmring::AllocMode, pressure: usize) -> FragAblation
         // pinning, not of in-flight depth.
         k.run_for(2 * costs::DOORBELL_COALESCE_NS);
     }
-    let _ = drv.channel.flush(&k);
+    let _ = drv.channels.flush_all(&k);
     k.run_for(2 * costs::DOORBELL_COALESCE_NS);
 
     let stats = pool.stats();
@@ -1166,30 +1194,31 @@ pub fn frag_run(mode: decaf_shmring::AllocMode, pressure: usize) -> FragAblation
     assert_eq!(
         completed + failures,
         FRAG_ATTEMPTS as u64,
-        "{label}@{pressure}%: every attempt either completed or was refused"
+        "{pressure}%: every attempt either completed or was refused"
     );
     assert_eq!(
         k.stats().bytes_copied - copied_before,
         0,
-        "{label}@{pressure}%: adopted payloads must never be CPU-copied"
+        "{pressure}%: adopted payloads must never be CPU-copied"
     );
-    assert!(
-        drv.urb_path.conserved(),
-        "{label}@{pressure}%: conservation"
-    );
+    assert!(drv.urb_path.conserved(), "{pressure}%: conservation");
     assert_eq!(
         pool.in_use_sectors(),
         still_pinned.len(),
-        "{label}@{pressure}%: only the pinned singles stay in use"
+        "{pressure}%: only the pinned singles stay in use"
+    );
+    assert_eq!(
+        free_map(pool),
+        (largest_free_run, largest_free_block),
+        "{pressure}%: the attempts left the pinned free map as they found it"
     );
     for h in still_pinned {
         pool.free_sg(h).expect("pinned chains stay live to the end");
     }
-    assert!(pool.conserved(), "{label}@{pressure}%: pool conservation");
-    assert_eq!(pool.in_use_sectors(), 0, "{label}@{pressure}%: no leak");
+    assert!(pool.conserved(), "{pressure}%: pool conservation");
+    assert_eq!(pool.in_use_sectors(), 0, "{pressure}%: no leak");
 
     FragAblationRow {
-        label,
         pressure,
         attempts: FRAG_ATTEMPTS as u64,
         failures,
@@ -1199,34 +1228,26 @@ pub fn frag_run(mode: decaf_shmring::AllocMode, pressure: usize) -> FragAblation
         bytes_copied: k.stats().bytes_copied - copied_before,
         payload_bytes: completed * payload_len as u64,
         virtual_ns: snap.kernel_busy_ns + snap.user_busy_ns - busy_before,
+        need,
+        largest_free_run,
+        largest_free_block,
     }
 }
 
-/// Regenerates the fragmentation ablation: first-fit vs buddy vs
-/// buddy + scatter-gather across the pressure sweep, and asserts the
-/// headline claim — the chaining mode sustains a zero alloc-failure
-/// rate at every pressure point where the contiguity-requiring modes
+/// Regenerates the fragmentation ablation across the pressure sweep and
+/// asserts the headline claim — the pool sustains a zero alloc-failure
+/// rate with zero fragmentation refusals at every pressure point,
+/// including the ones where the pinned free map would make first-fit
 /// refuse transfers the pool has the bytes for.
 pub fn frag_ablation() -> Vec<FragAblationRow> {
-    let rows: Vec<FragAblationRow> = [
-        decaf_shmring::AllocMode::FirstFit,
-        decaf_shmring::AllocMode::Buddy,
-        decaf_shmring::AllocMode::BuddySg,
-    ]
-    .into_iter()
-    .flat_map(|mode| FRAG_PRESSURES.iter().map(move |&p| frag_run(mode, p)))
-    .collect();
-
+    let rows: Vec<FragAblationRow> = FRAG_PRESSURES.iter().map(|&p| frag_run(p)).collect();
     assert!(
-        rows.iter()
-            .filter(|r| r.label == "buddy+SG")
-            .all(|r| r.failures == 0 && r.frag_refusals == 0),
-        "buddy+SG refused a transfer it had the bytes for"
+        rows.iter().all(|r| r.failures == 0 && r.frag_refusals == 0),
+        "the pool refused a transfer it had the bytes for"
     );
     assert!(
-        rows.iter()
-            .any(|r| r.label == "first-fit" && r.failures > 0 && r.frag_refusals > 0),
-        "the sweep never drove first-fit into fragmentation refusals"
+        rows.iter().any(FragAblationRow::first_fit_refuses),
+        "the sweep never fragmented the free map past first-fit's reach"
     );
     rows
 }
@@ -2922,26 +2943,27 @@ mod tests {
     fn frag_ablation_buddy_sg_survives_pressure_first_fit_refuses() {
         // A reduced sweep, same acceptance property the full
         // `frag_ablation` gates: at a pressure where the free map is
-        // scattered singles, first-fit refuses every multi-sector write
-        // while holding enough free bytes (all its refusals classified
-        // as fragmentation, none as exhaustion), and buddy+SG completes
-        // every one of the same attempts — with zero copies on both.
-        let ff = frag_run(decaf_shmring::AllocMode::FirstFit, 50);
-        let sg = frag_run(decaf_shmring::AllocMode::BuddySg, 50);
-        assert_eq!(ff.attempts, sg.attempts, "identical offered workload");
-        assert!(ff.failures > 0, "{ff:?}");
-        assert!(ff.frag_refusals > 0 && ff.exhausted == 0, "{ff:?}");
-        assert_eq!(sg.failures, 0, "{sg:?}");
-        assert_eq!(sg.frag_refusals, 0, "{sg:?}");
-        assert_eq!(sg.completed, sg.attempts);
-        assert_eq!(ff.bytes_copied, 0);
-        assert_eq!(sg.bytes_copied, 0);
+        // scattered singles, no free run or buddy block holds the three
+        // sectors a multi-sector write needs — first-fit and aligned
+        // buddy would refuse every attempt while the pool has the bytes
+        // — and the buddy+SG pool completes every one, with zero copies.
+        let free = frag_run(0);
+        let row = frag_run(50);
+        assert_eq!(row.need, 3);
         assert!(
-            sg.virtual_mbps() > 0.0 && ff.virtual_mbps() == 0.0,
-            "throughput under pressure: sg {:.1} vs ff {:.1} Mb/s",
-            sg.virtual_mbps(),
-            ff.virtual_mbps()
+            !free.first_fit_refuses() && !free.buddy_refuses(),
+            "{free:?}"
         );
+        assert_eq!(row.largest_free_run, 1, "{row:?}");
+        assert!(row.first_fit_refuses() && row.buddy_refuses(), "{row:?}");
+        assert_eq!(row.failures, 0, "{row:?}");
+        assert_eq!(row.frag_refusals, 0, "{row:?}");
+        assert_eq!(row.completed, row.attempts);
+        assert_eq!(row.bytes_copied, 0);
+        assert!(row.virtual_mbps() > 0.0);
+        // Chaining costs one TD per segment: more work than the fresh
+        // pool's single run, never a refusal.
+        assert!(row.virtual_ns > free.virtual_ns, "{row:?} vs {free:?}");
     }
 
     #[test]

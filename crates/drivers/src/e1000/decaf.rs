@@ -30,7 +30,7 @@ use decaf_xdr::graph::CAddr;
 use decaf_xdr::XdrValue;
 use decaf_xpc::{
     ChannelConfig, DataPathChannel, Domain, NuclearRuntime, ProcDef, ShardPolicy, ShardedChannel,
-    XpcChannel,
+    XpcChannel, MAX_SHARDS,
 };
 
 use super::{attach, E1000Hw, BUF_SIZE, IRQ_LINE, N_DESC, TX_BUF_OFF};
@@ -596,8 +596,13 @@ impl ShardedE1000 {
 }
 
 /// Loads the decaf driver with `shards` parallel channels and per-shard
-/// shmring TX/RX queues — the multi-queue, multi-channel build.
+/// shmring TX/RX queues — the multi-queue, multi-channel build. A shard
+/// count outside `1..=MAX_SHARDS` is refused with [`KError::Inval`]
+/// before the NIC is attached.
 pub fn install_sharded(kernel: &Kernel, ifname: &str, shards: usize) -> KResult<ShardedE1000> {
+    if !(1..=MAX_SHARDS).contains(&shards) {
+        return Err(KError::Inval);
+    }
     let (bar, dma, dev) = attach(kernel);
     let hw = Rc::new(E1000Hw::new(bar.clone(), dma));
     let plan = slice(super::minic::SOURCE, &SliceConfig::default()).map_err(|_| KError::Inval)?;
@@ -1526,6 +1531,22 @@ mod tests {
             k.stats().bytes_copied - before
         };
         assert_eq!(run(true), run(false), "copy audit must not regress");
+    }
+
+    #[test]
+    fn install_sharded_refuses_out_of_range_shard_counts() {
+        // An out-of-range count is an error the caller can handle, and it
+        // is refused before the NIC is attached.
+        let k = Kernel::new();
+        for shards in [0, MAX_SHARDS + 1] {
+            assert!(
+                matches!(install_sharded(&k, "eth0", shards), Err(KError::Inval)),
+                "shards={shards}"
+            );
+        }
+        assert!(k.pci_devices().is_empty(), "refused before attach");
+        let drv = install_sharded(&k, "eth0", 1).unwrap();
+        assert_eq!(drv.shards(), 1);
     }
 
     #[test]

@@ -498,7 +498,7 @@ mod tests {
     #[test]
     fn tar_streaming_read_on_shmring_uhci_is_zero_copy() {
         let k = Kernel::new();
-        let drv = crate::uhci::install_shmring(&k, "uhci0").unwrap();
+        let drv = crate::uhci::install_sharded(&k, "uhci0", 1).unwrap();
         for s in 0..32u32 {
             drv.dev.borrow_mut().preload_sector(s, vec![s as u8; 512]);
         }
@@ -507,11 +507,8 @@ mod tests {
         assert_eq!(stats.bytes, 32 * 512);
         assert_eq!(k.stats().bytes_copied, 0, "bulk payloads never copied");
         assert!(drv.urb_path.conserved());
-        assert!(
-            drv.channel.stats().descriptors_per_doorbell() > 2.0,
-            "readahead bursts amortize doorbells: {}",
-            drv.channel.stats().descriptors_per_doorbell()
-        );
+        let descs = drv.channels.stats().descriptors_per_doorbell();
+        assert!(descs > 2.0, "readahead bursts amortize doorbells: {descs}");
         assert!(k.violations().is_empty(), "{:?}", k.violations());
     }
 
@@ -549,7 +546,7 @@ mod tests {
         // on the coalescing deadline, so a lost partial burst would show
         // up as missing ops here first.
         let k = Kernel::new();
-        let drv = crate::uhci::install_shmring(&k, "uhci0").unwrap();
+        let drv = crate::uhci::install_sharded(&k, "uhci0", 1).unwrap();
         for s in 0..10u32 {
             drv.dev.borrow_mut().preload_sector(s, vec![7; 512]);
         }

@@ -26,11 +26,10 @@
 //!   handle travels. Frees may arrive out of order — completion order is
 //!   the device's business, not the ring's.
 //! * [`SectorPool`] — the storage-shaped pool: variable-length sector
-//!   runs instead of fixed frames, a buddy allocator with
+//!   chains instead of fixed frames, a buddy allocator with
 //!   scatter-gather chaining ([`SectorPool::alloc_sg`]) so a fragmented
-//!   pool never refuses a transfer it has the bytes for (the first-fit
-//!   scan survives behind [`AllocMode`] for the ablation), plus
-//!   zero-copy payload adoption ([`SectorPool::adopt_payload_sg`]) for
+//!   pool never refuses a transfer it has the bytes for, plus zero-copy
+//!   payload adoption ([`SectorPool::adopt_payload_sg`]) for
 //!   page-granular buffers the device can DMA where they sit.
 //! * [`UrbDescriptor`] — the request/response descriptor for URB-shaped
 //!   transfers: direction, endpoint and length on the submit ring;
@@ -118,6 +117,6 @@ pub use doorbell::DoorbellPolicy;
 pub use pool::{BufHandle, BufPool, PoolError, PoolStats};
 pub use ring::{Descriptor, RingError, RingStats, ShmRing, SlotOwner};
 pub use ringset::{flow_hash, RingSet, RingSetError, RingSetStats};
-pub use sector::{AllocMode, SectorHandle, SectorPool, SectorPoolStats, SgHandle, SgSegment};
+pub use sector::{SectorPool, SectorPoolStats, SgHandle, SgSegment};
 pub use urb::{UrbDescriptor, XferDir};
 pub use urbset::{UrbRingSet, UrbShardStats};

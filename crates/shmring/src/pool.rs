@@ -15,10 +15,10 @@ pub enum PoolError {
     /// No free buffer: the producer must reclaim completions first.
     Exhausted,
     /// The handle does not name a pool buffer (the payload is the raw
-    /// handle index — shared between [`BufHandle`] and
-    /// [`crate::SectorHandle`] pools).
+    /// [`BufHandle`] index).
     BadHandle(u32),
-    /// The buffer is not currently allocated (double free, stale handle).
+    /// The buffer or chain is not currently allocated (double free,
+    /// stale handle).
     NotAllocated(u32),
     /// The payload does not fit one buffer.
     TooLarge {

@@ -1,15 +1,18 @@
 //! Property-based tests for the shmring subsystem: the ring against a
 //! queue model (wrap-around, backpressure, ownership handback), the
 //! pool against an allocation model (out-of-order completion reclaim),
-//! and the sector pool against an interval model (variable-length runs
-//! never alias, conservation counters survive arbitrary interleavings).
+//! and the sector pool against an occupancy model (variable-length
+//! chains never alias, conservation counters survive arbitrary
+//! interleavings) and a first-fit oracle (it never refuses a transfer
+//! it has the sectors for, where a contiguity-requiring allocator
+//! would).
 
 use std::collections::{HashMap, VecDeque};
 use std::rc::Rc;
 
 use decaf_shmring::{
-    AllocMode, BufHandle, BufPool, Descriptor, PoolError, RingError, SectorHandle, SectorPool,
-    SgHandle, SgSegment, ShmRing, UrbDescriptor, UrbRingSet,
+    BufHandle, BufPool, Descriptor, PoolError, RingError, SectorPool, SgHandle, SgSegment, ShmRing,
+    UrbDescriptor, UrbRingSet,
 };
 use decaf_simkernel::{CpuClass, Kernel};
 use proptest::prelude::*;
@@ -116,9 +119,12 @@ proptest! {
         prop_assert_eq!(again.len(), freed, "reallocated handles are distinct");
     }
 
-    /// Arbitrary alloc/free interleavings of variable-length transfers:
-    /// live sector runs never alias, and the conservation counters hold
-    /// under out-of-order reclaim at every step.
+    /// Arbitrary alloc/free interleavings of variable-length transfers
+    /// against a per-sector occupancy model: every segment of a new
+    /// chain lands on sectors the model holds free (live runs never
+    /// alias), frees return exactly the chain's sectors, and the pool's
+    /// occupancy and conservation counters match the model at every
+    /// step under out-of-order reclaim.
     #[test]
     fn sector_runs_never_alias_and_conserve(
         ops in proptest::collection::vec(any::<u16>(), 1..200),
@@ -126,53 +132,51 @@ proptest! {
         const SECTOR: usize = 64;
         const COUNT: usize = 16;
         let pool = SectorPool::with_capacity(SECTOR, COUNT);
-        // Live runs as (handle, byte offset, byte length).
-        let mut live: Vec<(SectorHandle, usize, usize)> = Vec::new();
+        // The model: which live chain owns each sector.
+        let mut owner: Vec<Option<SgHandle>> = vec![None; COUNT];
+        let mut live: Vec<SgHandle> = Vec::new();
         for op in ops {
             // Bias 3:2 toward allocs so the map fragments and refills;
             // lengths span sub-sector to multi-sector transfers.
             if op % 5 < 3 {
                 let len = 1 + (op as usize * 37) % (4 * SECTOR);
-                match pool.alloc(len) {
+                match pool.alloc_sg(len) {
                     Ok(h) => {
-                        let off = pool.offset_of(h).unwrap();
-                        let bytes = pool.run_sectors(h).unwrap() * SECTOR;
-                        prop_assert!(bytes >= len, "run covers the transfer");
-                        for &(_, o, b) in &live {
-                            prop_assert!(
-                                off + bytes <= o || o + b <= off,
-                                "run [{off}, {}) aliases live run [{o}, {})",
-                                off + bytes,
-                                o + b
-                            );
+                        let mut sectors = 0;
+                        for seg in pool.sg_segments(h).unwrap() {
+                            prop_assert_eq!(seg.offset % SECTOR, 0, "sector-aligned segment");
+                            let first = seg.offset / SECTOR;
+                            for (s, o) in owner.iter_mut().enumerate().skip(first).take(seg.bytes / SECTOR) {
+                                prop_assert!(o.is_none(), "sector {s} handed out twice");
+                                *o = Some(h);
+                                sectors += 1;
+                            }
                         }
-                        live.push((h, off, bytes));
+                        prop_assert_eq!(sectors, len.div_ceil(SECTOR), "chain sized to the transfer");
+                        live.push(h);
                     }
                     Err(PoolError::Exhausted) => {
-                        // Legal whenever no contiguous hole fits; never
-                        // legal with an empty pool and a fitting length.
-                        prop_assert!(
-                            !live.is_empty() || len > SECTOR * COUNT,
-                            "empty pool refused a fitting alloc"
-                        );
+                        let free = owner.iter().filter(|o| o.is_none()).count();
+                        prop_assert!(len.div_ceil(SECTOR) > free, "refused with {free} free");
                     }
                     Err(e) => prop_assert!(false, "unexpected alloc error: {e}"),
                 }
             } else if !live.is_empty() {
-                // Out-of-order reclaim: free a pseudo-random live run.
-                let (h, _, _) = live.remove(op as usize % live.len());
-                pool.free(h).unwrap();
-                prop_assert_eq!(pool.free(h), Err(PoolError::NotAllocated(h.0)));
+                // Out-of-order reclaim: free a pseudo-random live chain.
+                let h = live.remove(op as usize % live.len());
+                let held = owner.iter().filter(|o| **o == Some(h)).count();
+                prop_assert_eq!(pool.free_sg(h).unwrap(), held);
+                prop_assert_eq!(pool.free_sg(h), Err(PoolError::NotAllocated(h.0)));
+                owner.iter_mut().filter(|o| **o == Some(h)).for_each(|o| *o = None);
             }
             // Conservation holds at every step, not just at quiescence.
             prop_assert!(pool.conserved(), "conservation broke mid-history");
-            let in_use: usize = live.iter().map(|&(_, _, b)| b / SECTOR).sum();
+            let in_use = owner.iter().filter(|o| o.is_some()).count();
             prop_assert_eq!(pool.in_use_sectors(), in_use);
-            prop_assert_eq!(pool.live_runs(), live.len());
         }
         // Draining everything returns the pool to pristine capacity.
-        for (h, _, _) in live.drain(..) {
-            pool.free(h).unwrap();
+        for h in live.drain(..) {
+            pool.free_sg(h).unwrap();
         }
         prop_assert_eq!(pool.available_sectors(), COUNT);
         prop_assert!(pool.conserved());
@@ -190,19 +194,19 @@ proptest! {
     ) {
         let k = Kernel::new();
         let pool = SectorPool::with_capacity(64, 32);
-        let runs: Vec<_> = payloads
+        let chains: Vec<_> = payloads
             .iter()
             .map(|p| {
-                let h = pool.alloc(p.len()).unwrap();
-                pool.adopt_payload(&k, p, h).unwrap();
+                let h = pool.alloc_sg(p.len()).unwrap();
+                pool.adopt_payload_sg(&k, p, h).unwrap();
                 h
             })
             .collect();
         // Reads in arbitrary (reverse) order see exactly what was
         // adopted; nothing ever hits the copy audit.
-        for (h, p) in runs.iter().zip(&payloads).rev() {
-            prop_assert_eq!(&pool.read_payload(*h, p.len()).unwrap(), p);
-            pool.free(*h).unwrap();
+        for (h, p) in chains.iter().zip(&payloads).rev() {
+            prop_assert_eq!(&pool.read_payload_sg(*h, p.len()).unwrap(), p);
+            pool.free_sg(*h).unwrap();
         }
         prop_assert_eq!(k.stats().bytes_copied, 0, "adoption and in-place reads");
         prop_assert!(pool.conserved());
@@ -211,7 +215,7 @@ proptest! {
     /// One sector pool under *concurrent multi-shard* traffic: several
     /// shards allocate, adopt and reclaim out of the same pool in an
     /// arbitrary interleaving. Conservation holds at every step, live
-    /// runs never alias across shards, adopted payloads survive
+    /// chains never alias across shards, adopted payloads survive
     /// bit-for-bit, and nothing is ever CPU-copied.
     #[test]
     fn sector_pool_survives_multi_shard_interleavings(
@@ -222,9 +226,9 @@ proptest! {
         const COUNT: usize = 20;
         let k = Kernel::new();
         let pool = SectorPool::with_capacity(SECTOR, COUNT);
-        // Per-shard live runs: (handle, offset, run bytes, payload).
-        type LiveRun = (SectorHandle, usize, usize, Vec<u8>);
-        let mut live: Vec<Vec<LiveRun>> = vec![Vec::new(); shards];
+        // Per-shard live chains: (handle, segments, payload).
+        type LiveChain = (SgHandle, Vec<SgSegment>, Vec<u8>);
+        let mut live: Vec<Vec<LiveChain>> = vec![Vec::new(); shards];
         for (step, op) in ops.iter().enumerate() {
             let shard = (*op as usize) % shards;
             if op % 5 < 3 {
@@ -232,49 +236,54 @@ proptest! {
                 let payload: Vec<u8> = (0..len)
                     .map(|i| (shard as u8) ^ (i as u8).wrapping_mul(17))
                     .collect();
-                match pool.alloc(len) {
+                match pool.alloc_sg(len) {
                     Ok(h) => {
-                        pool.adopt_payload(&k, &payload, h).unwrap();
-                        let off = pool.offset_of(h).unwrap();
-                        let bytes = pool.run_sectors(h).unwrap() * SECTOR;
-                        // Alias freedom across *all* shards' live runs.
-                        for runs in &live {
-                            for &(_, o, b, _) in runs {
+                        pool.adopt_payload_sg(&k, &payload, h).unwrap();
+                        let segs = pool.sg_segments(h).unwrap();
+                        // Alias freedom across *all* shards' live chains.
+                        for s in &segs {
+                            for o in live.iter().flatten().flat_map(|(_, segs, _)| segs) {
                                 prop_assert!(
-                                    off + bytes <= o || o + b <= off,
-                                    "shard {shard}: run [{off}, {}) aliases [{o}, {})",
-                                    off + bytes,
-                                    o + b
+                                    s.offset + s.bytes <= o.offset
+                                        || o.offset + o.bytes <= s.offset,
+                                    "shard {shard}: segment [{}, {}) aliases [{}, {})",
+                                    s.offset,
+                                    s.offset + s.bytes,
+                                    o.offset,
+                                    o.offset + o.bytes
                                 );
                             }
                         }
-                        live[shard].push((h, off, bytes, payload));
+                        live[shard].push((h, segs, payload));
                     }
-                    Err(PoolError::Exhausted) => {
-                        let in_use: usize = live.iter().flatten().count();
-                        prop_assert!(in_use > 0, "empty pool refused a fitting alloc");
-                    }
+                    Err(PoolError::Exhausted) => prop_assert!(
+                        len.div_ceil(SECTOR) > pool.available_sectors(),
+                        "refused a transfer the pool had the sectors for"
+                    ),
                     Err(e) => prop_assert!(false, "unexpected alloc error: {e}"),
                 }
             } else if !live[shard].is_empty() {
                 // Out-of-order reclaim on the acting shard.
                 let idx = (*op as usize / 5) % live[shard].len();
-                let (h, _, _, payload) = live[shard].remove(idx);
+                let (h, _, payload) = live[shard].remove(idx);
                 prop_assert_eq!(
-                    pool.read_payload(h, payload.len()).unwrap(),
+                    pool.read_payload_sg(h, payload.len()).unwrap(),
                     payload,
                     "shard {}'s payload corrupted by its siblings", shard
                 );
-                pool.free(h).unwrap();
+                pool.free_sg(h).unwrap();
             }
             prop_assert!(pool.conserved(), "conservation broke mid-history");
-            let in_use: usize = live.iter().flatten().map(|&(_, _, b, _)| b / SECTOR).sum();
+            let in_use: usize = live
+                .iter()
+                .flatten()
+                .flat_map(|(_, segs, _)| segs)
+                .map(|s| s.bytes / SECTOR)
+                .sum();
             prop_assert_eq!(pool.in_use_sectors(), in_use);
         }
-        for runs in &mut live {
-            for (h, _, _, _) in runs.drain(..) {
-                pool.free(h).unwrap();
-            }
+        for (h, _, _) in live.into_iter().flatten() {
+            pool.free_sg(h).unwrap();
         }
         prop_assert!(pool.conserved());
         prop_assert_eq!(pool.available_sectors(), COUNT);
@@ -499,68 +508,92 @@ proptest! {
         prop_assert!(pool.conserved());
     }
 
-    /// The completeness property, with the first-fit scan replaying the
-    /// same adversarial schedule as the incompleteness oracle: the
-    /// buddy+SG pool refuses only when the requested sectors outnumber
-    /// the free ones, while every first-fit refusal is correctly split
-    /// between fragmentation (free bytes sufficed) and true exhaustion.
+    /// The completeness property, checked against a first-fit oracle
+    /// that scans the pool's own free map (rebuilt from the live
+    /// chains' segments, independently of the buddy free lists) at
+    /// every allocation of an adversarial schedule:
+    ///
+    /// * the pool refuses only when the requested sectors outnumber the
+    ///   free ones — including every time first-fit finds no
+    ///   contiguous run for a transfer the pool has the sectors for;
+    /// * the fragmentation ablation's derived predicate holds: first-fit
+    ///   can place `need` sectors exactly when
+    ///   [`SectorPool::largest_free_run`] is at least `need`.
     #[test]
     fn buddy_sg_is_complete_where_first_fit_fragments(
         ops in proptest::collection::vec(any::<u16>(), 1..200),
     ) {
         const SECTOR: usize = 64;
         const COUNT: usize = 16;
-        let sg = SectorPool::with_capacity_mode(SECTOR, COUNT, AllocMode::BuddySg);
-        let ff = SectorPool::with_capacity_mode(SECTOR, COUNT, AllocMode::FirstFit);
-        let mut live_sg: Vec<SgHandle> = Vec::new();
-        let mut live_ff: Vec<SectorHandle> = Vec::new();
+        let pool = SectorPool::with_capacity(SECTOR, COUNT);
+        let mut live: Vec<SgHandle> = Vec::new();
         for op in ops {
             if op % 5 < 3 {
                 let len = 1 + (op as usize * 37) % (4 * SECTOR);
                 let need = len.div_ceil(SECTOR);
-                match sg.alloc_sg(len) {
-                    Ok(h) => live_sg.push(h),
+                let ff = FirstFit::mirror(&pool, &live);
+                prop_assert_eq!(ff.free(), pool.available_sectors());
+                prop_assert_eq!(
+                    ff.place(need).is_some(),
+                    pool.largest_free_run() >= need,
+                    "first-fit and the largest free run disagree on {} sectors over {:?}",
+                    need,
+                    pool.free_extents()
+                );
+                match pool.alloc_sg(len) {
+                    Ok(h) => live.push(h),
                     Err(PoolError::Exhausted) => prop_assert!(
-                        need > sg.available_sectors(),
-                        "buddy+SG refused {need} sectors with {} free",
-                        sg.available_sectors()
+                        need > ff.free(),
+                        "refused {need} sectors with {} free (first-fit placement: {:?})",
+                        ff.free(),
+                        ff.place(need)
                     ),
                     Err(e) => prop_assert!(false, "unexpected alloc error: {e}"),
                 }
-                let before = ff.stats();
-                match ff.alloc(len) {
-                    Ok(h) => live_ff.push(h),
-                    Err(PoolError::Exhausted) => {
-                        let after = ff.stats();
-                        if need <= ff.available_sectors() {
-                            prop_assert_eq!(
-                                after.frag_refusals, before.frag_refusals + 1,
-                                "refusal with free bytes must count as fragmentation"
-                            );
-                        } else {
-                            prop_assert_eq!(
-                                after.exhausted, before.exhausted + 1,
-                                "refusal without free bytes must count as exhaustion"
-                            );
-                        }
-                    }
-                    Err(e) => prop_assert!(false, "unexpected alloc error: {e}"),
-                }
-            } else {
-                // Mirror the free schedule on both pools, each against
-                // its own live set (their histories legally diverge once
-                // first-fit starts refusing).
-                if !live_sg.is_empty() {
-                    let h = live_sg.remove(op as usize % live_sg.len());
-                    sg.free_sg(h).unwrap();
-                }
-                if !live_ff.is_empty() {
-                    let h = live_ff.remove(op as usize % live_ff.len());
-                    ff.free(h).unwrap();
-                }
+            } else if !live.is_empty() {
+                let h = live.remove(op as usize % live.len());
+                pool.free_sg(h).unwrap();
             }
-            prop_assert!(sg.conserved() && ff.conserved());
+            prop_assert!(pool.conserved());
         }
-        prop_assert_eq!(sg.stats().frag_refusals, 0, "completeness: no frag refusals");
+        prop_assert_eq!(pool.stats().frag_refusals, 0, "completeness: no frag refusals");
+    }
+}
+
+/// Test-local first-fit oracle: the linear bitmap scan a
+/// contiguity-requiring allocator performs over a free map.
+struct FirstFit {
+    used: Vec<bool>,
+}
+
+impl FirstFit {
+    /// The free map of `pool` as its live chains' segments leave it.
+    fn mirror(pool: &SectorPool, live: &[SgHandle]) -> Self {
+        let sector = pool.sector_size();
+        let mut used = vec![false; pool.capacity_sectors()];
+        for &h in live {
+            for seg in pool.sg_segments(h).unwrap() {
+                let first = seg.offset / sector;
+                used[first..first + seg.bytes / sector].fill(true);
+            }
+        }
+        FirstFit { used }
+    }
+
+    /// Free sectors, contiguous or not.
+    fn free(&self) -> usize {
+        self.used.iter().filter(|u| !**u).count()
+    }
+
+    /// First sector of the lowest run of `need` free sectors, if any.
+    fn place(&self, need: usize) -> Option<usize> {
+        let mut run = 0;
+        for (i, used) in self.used.iter().enumerate() {
+            run = if *used { 0 } else { run + 1 };
+            if run == need {
+                return Some(i + 1 - need);
+            }
+        }
+        None
     }
 }

@@ -752,13 +752,14 @@ mod tests {
         // SG path chains them instead of refusing.
         let (k, dp) = path(1);
         let pool = Rc::clone(dp.pool());
-        let pins: Vec<_> = (0..64).map(|_| pool.alloc(1).unwrap()).collect();
+        let pins: Vec<_> = (0..64).map(|_| pool.alloc_sg(1).unwrap()).collect();
         for (i, pin) in pins.iter().enumerate() {
             if i % 2 == 0 {
-                pool.free(*pin).unwrap();
+                pool.free_sg(*pin).unwrap();
             }
         }
         assert_eq!(pool.available_sectors(), 32);
+        assert_eq!(pool.largest_free_run(), 1, "no 2-sector run exists");
         let payload = vec![0xc3u8; 1024]; // needs 2 sectors
         dp.submit_out(&k, 2, &payload, 0).unwrap();
         let done = dp.reclaim(&k);
@@ -768,7 +769,7 @@ mod tests {
         assert_eq!(k.stats().bytes_copied, 0, "chaining stays zero-copy");
         for (i, pin) in pins.iter().enumerate() {
             if i % 2 != 0 {
-                pool.free(*pin).unwrap();
+                pool.free_sg(*pin).unwrap();
             }
         }
         assert!(dp.conserved());

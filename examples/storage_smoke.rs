@@ -1,8 +1,8 @@
-//! Storage shmring smoke: drives the `tar` write + streaming-read pair
-//! through the uhci `install_shmring` build and prints the three-way
-//! storage ablation. With a shard-count argument it instead drives the
-//! **sharded multi-LUN** build at that width (the CI storage-sched job
-//! runs `storage_smoke 4`).
+//! Storage ring smoke: drives the `tar` write + streaming-read pair
+//! through the single-queue uhci ring build (`install_sharded(.., 1)`)
+//! and prints the three-way storage ablation. With a shard-count
+//! argument it instead drives the **sharded multi-LUN** build at that
+//! width (the CI storage-sched job runs `storage_smoke 4`).
 //!
 //! The heavy lifting — and every invariant check (URB conservation,
 //! sector-run reclamation, zero kernel-rule violations, and the
@@ -18,7 +18,7 @@
 //!
 //! Run with: `cargo run --release --example storage_smoke [shards]`
 //!
-//! `--trace <path>` additionally drives one traced shmring tar run and
+//! `--trace <path>` additionally drives one traced single-queue tar run and
 //! writes a Chrome `trace_event` JSON capture to `path` (open it at
 //! `chrome://tracing` or in Perfetto). Timestamps are virtual, so
 //! same-seed captures are byte-identical.
@@ -29,14 +29,15 @@ use decaf_core::experiments::{
 use decaf_core::simkernel::decaf_trace::{chrome_trace_json, Tracer};
 use decaf_core::simkernel::Kernel;
 
-/// Drives the shmring tar write + streaming-read pair once with a full
-/// event tracer installed and writes the Chrome JSON capture.
+/// Drives the single-queue ring tar write + streaming-read pair once
+/// with a full event tracer installed and writes the Chrome JSON
+/// capture.
 fn traced_smoke(path: &str) {
     use decaf_core::drivers::workloads;
     let k = Kernel::new();
     let t = Tracer::new();
     k.set_tracer(Some(std::rc::Rc::clone(&t)));
-    let _drv = decaf_core::drivers::uhci::install_shmring(&k, "uhci0").expect("uhci shmring");
+    let _drv = decaf_core::drivers::uhci::install_sharded(&k, "uhci0", 1).expect("uhci ring");
     workloads::tar_to_flash(&k, "uhci0", STORAGE_FILES, STORAGE_SECTORS_PER_FILE).expect("tar out");
     workloads::tar_from_flash(&k, "uhci0", STORAGE_FILES, STORAGE_SECTORS_PER_FILE)
         .expect("tar in");
