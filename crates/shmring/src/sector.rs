@@ -564,6 +564,51 @@ mod tests {
     }
 
     #[test]
+    fn first_fit_runs_never_alias_and_fragmentation_refuses() {
+        // Live variable-length chains never alias. Two scattered free
+        // singles leave no 2-sector run, so a first-fit allocator would
+        // refuse a 2-sector transfer as *fragmentation* (the pool has the
+        // bytes); the buddy SG pool chains them instead and never refuses.
+        let p = SectorPool::with_capacity(64, 6);
+        let a = p.alloc_sg(64).unwrap();
+        let b = p.alloc_sg(128).unwrap();
+        let c = p.alloc_sg(64).unwrap();
+        let d = p.alloc_sg(64).unwrap();
+        let e = p.alloc_sg(64).unwrap();
+        let segs: Vec<_> = [a, b, c, d, e]
+            .iter()
+            .flat_map(|&h| p.sg_segments(h).unwrap())
+            .collect();
+        for (i, s1) in segs.iter().enumerate() {
+            for s2 in segs.iter().skip(i + 1) {
+                assert!(
+                    s1.offset + s1.bytes <= s2.offset || s2.offset + s2.bytes <= s1.offset,
+                    "live chains alias"
+                );
+            }
+        }
+        assert_eq!(p.available_sectors(), 0);
+        // Free two singles whose buddies are live: 2 sectors free but
+        // not contiguous.
+        p.free_sg(a).unwrap();
+        p.free_sg(d).unwrap();
+        assert_eq!(p.available_sectors(), 2);
+        assert_eq!(p.largest_free_run(), 1, "first fit would refuse");
+        let chain = p.alloc_sg(128).unwrap();
+        assert_eq!(p.sg_segments(chain).unwrap().len(), 2);
+        assert_eq!(p.stats().frag_refusals, 0, "bytes were there: chained");
+        assert_eq!(p.stats().exhausted, 0);
+        p.free_sg(chain).unwrap();
+        // A single still fits in either hole.
+        let f = p.alloc_sg(10).unwrap();
+        assert_eq!(p.sg_capacity(f).unwrap(), 64);
+        for h in [b, c, e, f] {
+            p.free_sg(h).unwrap();
+        }
+        assert!(p.conserved());
+    }
+
+    #[test]
     fn refusal_counters_split_frag_from_true_exhaustion() {
         // A refusal with too few free sectors is exhaustion; a pool that
         // has the sectors never refuses, however scattered they are, so
@@ -696,6 +741,28 @@ mod tests {
         assert_eq!(s.sectors_allocated, s.sectors_reclaimed);
         assert!(p.conserved());
         assert_eq!(k.stats().bytes_copied, 0);
+    }
+
+    #[test]
+    fn adopt_is_zero_copy_and_write_is_not() {
+        // Adopting a payload maps the chain and charges map time, never
+        // a copy; writing the same payload by value pays for every byte.
+        let k = Kernel::new();
+        let p = SectorPool::with_capacity(512, 4);
+        let a = p.alloc_sg(512).unwrap();
+        let busy_before = k.snapshot().kernel_busy_ns;
+        p.adopt_payload_sg(&k, &[7u8; 512], a).unwrap();
+        assert_eq!(k.stats().bytes_copied, 0, "adoption maps, never copies");
+        assert_eq!(
+            k.snapshot().kernel_busy_ns - busy_before,
+            costs::SECTOR_MAP_NS,
+            "one sector mapped"
+        );
+        assert_eq!(p.read_payload_sg(a, 512).unwrap(), [7u8; 512]);
+        k.charge_copy(decaf_simkernel::CpuClass::Kernel, 512);
+        assert_eq!(k.stats().bytes_copied, 512, "the by-value path pays");
+        p.free_sg(a).unwrap();
+        assert!(p.conserved());
     }
 
     #[test]
