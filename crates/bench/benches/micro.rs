@@ -298,7 +298,7 @@ fn bench_rx_mode(c: &mut Criterion) {
     // Ablation: interrupt-driven vs poll-mode receive servicing at one
     // rate either side of the crossover — each iteration re-asserts the
     // zero-copy invariant inside rx_mode_run.
-    use decaf_core::drivers::support::RxMode;
+    use decaf_core::experiments::RxMode;
     for (label, mode, pps) in [
         ("interrupt@2k", RxMode::Interrupt, 2_000u32),
         ("poll@2k", RxMode::Poll, 2_000),

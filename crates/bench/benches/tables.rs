@@ -158,8 +158,10 @@ fn table3() {
          overhead, not JVM start-up — see EXPERIMENTS.md. InBytes/Batched\n\
          show the batched transport + delta marshaling at work during init.\n\
          The netperf-send/shm rows host the data path at user level over\n\
-         the shmring subsystem: DBell/D-per-DB/HWM are the doorbell count,\n\
-         descriptors amortized per doorbell, and ring occupancy high-water)"
+         the shmring subsystem — E1000 rides the async-transport\n\
+         install_sharded(.., 1), 8139too its synchronous single-queue ring:\n\
+         DBell/D-per-DB/HWM are the doorbell count, descriptors amortized\n\
+         per doorbell, and ring occupancy high-water)"
     );
 }
 

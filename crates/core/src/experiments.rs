@@ -566,6 +566,8 @@ pub fn table3() -> Vec<Table3Row> {
     // ---------------- shmring builds: the user-level data path. Same
     // netperf shape as above, but every packet crosses as a descriptor
     // through the shared-memory ring instead of staying in the kernel.
+    // E1000 rides the async-transport `install_sharded(.., 1)`; 8139too
+    // rides its synchronous single-queue ring.
     {
         let kn = Kernel::new();
         let native = decaf_drivers::e1000::native::install(&kn, "eth0").unwrap();
@@ -574,15 +576,15 @@ pub fn table3() -> Vec<Table3Row> {
         let n = workloads::netperf_send(&kn, "eth0", NET_SECONDS, E1000_PPS, 1500).unwrap();
 
         let kd = Kernel::new();
-        let decaf = decaf_drivers::e1000::decaf::install_shmring(&kd, "eth0").unwrap();
+        let decaf = decaf_drivers::e1000::decaf::install_sharded(&kd, "eth0", 1).unwrap();
         kd.netdev_open("eth0").unwrap();
         kd.schedule_point();
         let init_crossings = decaf.crossings();
-        let init_stats = decaf.channel.stats();
-        let inv_before = decaf.decaf_invocations();
+        let init_stats = decaf.channels.stats();
+        let inv_before = decaf.nuc.decaf_invocations();
         let d = workloads::netperf_send(&kd, "eth0", NET_SECONDS, E1000_PPS, 1500).unwrap();
         kd.run_for(2 * decaf_simkernel::costs::DOORBELL_COALESCE_NS);
-        let s = decaf.channel.stats();
+        let s = decaf.channels.stats();
         rows.push(Table3Row {
             driver: "E1000",
             workload: "netperf-send/shm",
@@ -594,7 +596,7 @@ pub fn table3() -> Vec<Table3Row> {
             init_crossings,
             init_bytes_in: init_stats.bytes_in,
             init_batched_calls: init_stats.batched_calls,
-            workload_invocations: decaf.decaf_invocations() - inv_before,
+            workload_invocations: decaf.nuc.decaf_invocations() - inv_before,
             doorbells: s.doorbells,
             descs_per_doorbell: s.descriptors_per_doorbell(),
             ring_occupancy_hwm: s.ring_occupancy_hwm,
@@ -1944,6 +1946,37 @@ impl RxModeSweepRow {
     }
 }
 
+/// How the RX sweep engine ([`rx_mode_run_schedule`]) services received
+/// frames.
+///
+/// Two explicit modes with opposite cost shapes: interrupt-driven
+/// receive pays interrupt entry plus a doorbell crossing per batch but
+/// is free when the line is quiet; poll-mode receive keeps the receive
+/// interrupt masked (NAPI-style) and probes the ring on a fixed
+/// virtual-time grid, paying [`costs::POLL_SPIN_NS`] per probe whether
+/// or not traffic arrived. Poll wins once the offered rate is high
+/// enough that probes rarely miss — the crossover [`rx_mode_sweep`]
+/// sweeps out.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum RxMode {
+    /// Doorbell-interrupt receive: each arrival takes an interrupt,
+    /// posts its descriptor and rings the data-path doorbell at the
+    /// watermark.
+    #[default]
+    Interrupt,
+    /// Budgeted poll receive: a periodic [`RX_POLL_TICK_NS`] tick probes
+    /// the ring with
+    /// [`DataPathEnd::poll_and_reclaim`](decaf_xpc::DataPathEnd::poll_and_reclaim)
+    /// under [`RX_POLL_BUDGET`].
+    Poll,
+}
+
+/// Virtual-time period of the poll-mode receive tick.
+pub const RX_POLL_TICK_NS: u64 = 50_000;
+
+/// Descriptors one poll-mode tick may consume before yielding.
+pub const RX_POLL_BUDGET: usize = 64;
+
 /// Offered rates the RX-mode sweep walks (packets per virtual second).
 /// Arrival times are integer nanoseconds computed per arrival index, so
 /// the sweep is bit-deterministic at any rate — rates need *not* divide
@@ -1970,13 +2003,10 @@ pub fn rx_uniform_schedule(pps: u32) -> Vec<u64> {
 ///
 /// Interrupt mode charges interrupt entry per arrival and rings the
 /// watermark doorbell; poll mode charges a softirq dispatch per
-/// [`decaf_drivers::support::RX_POLL_TICK_NS`] grid tick plus a poll
+/// [`RX_POLL_TICK_NS`] grid tick plus a poll
 /// probe per ring check, and never rings a doorbell. Neither mode
 /// copies payload bytes — the buffers stay where DMA wrote them.
-pub fn rx_mode_run(
-    mode: decaf_drivers::support::RxMode,
-    pps: u32,
-) -> (u64, u64, u64, LatencyPercentiles) {
+pub fn rx_mode_run(mode: RxMode, pps: u32) -> (u64, u64, u64, LatencyPercentiles) {
     rx_mode_run_schedule(mode, &rx_uniform_schedule(pps))
 }
 
@@ -1992,11 +2022,7 @@ pub fn rx_mode_run(
 /// as `tick_ns / gap_ns`, which silently assumed every rate divides the
 /// probe grid; an off-grid schedule tripped its accounting assert even
 /// though no descriptor was lost.
-pub fn rx_mode_run_schedule(
-    mode: decaf_drivers::support::RxMode,
-    schedule: &[u64],
-) -> (u64, u64, u64, LatencyPercentiles) {
-    use decaf_drivers::support::{RxMode, RX_POLL_BUDGET, RX_POLL_TICK_NS};
+pub fn rx_mode_run_schedule(mode: RxMode, schedule: &[u64]) -> (u64, u64, u64, LatencyPercentiles) {
     use decaf_shmring::{BufHandle, Descriptor, DoorbellPolicy, ShmRing};
     use decaf_xdr::XdrValue;
     use decaf_xpc::{ChannelConfig, DataPathChannel, Domain, ProcDef, XpcChannel};
@@ -2156,7 +2182,6 @@ pub fn rx_mode_run_schedule(
 /// high end (per-frame interrupt entry and doorbell crossings dominate),
 /// and the winner flips exactly once as the offered rate climbs.
 pub fn rx_mode_sweep() -> Vec<RxModeSweepRow> {
-    use decaf_drivers::support::RxMode;
     let rows: Vec<RxModeSweepRow> = RX_SWEEP_RATES
         .into_iter()
         .map(|pps| {
@@ -3074,7 +3099,6 @@ mod tests {
         // 3 000 and 7 000 pps do not (gap 333 333.3 / 142 857.1 ns);
         // every frame must still be posted at the next probe after its
         // arrival and delivered with nothing dropped.
-        use decaf_drivers::support::RxMode;
         for pps in [3_000u32, 7_000] {
             assert_ne!(
                 1_000_000_000 % pps as u64,
@@ -3093,7 +3117,6 @@ mod tests {
         // lands on a probe-tick boundary and clumps exceed the per-tick
         // budget, forcing carry-over to later ticks and extra ticks past
         // the nominal horizon. Both modes must deliver every frame.
-        use decaf_drivers::support::{RxMode, RX_POLL_BUDGET, RX_POLL_TICK_NS};
         let mut rng = rand_like::SplitMix::new(0xDECAF0008);
         let mut at = 0u64;
         let mut schedule = Vec::new();

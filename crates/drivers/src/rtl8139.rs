@@ -24,7 +24,7 @@ use decaf_xdr::graph::CAddr;
 use decaf_xdr::XdrValue;
 use decaf_xpc::{ChannelConfig, DataPathChannel, Domain, NuclearRuntime, ProcDef, XpcChannel};
 
-use crate::support::{self, decaf_readl, decaf_writel, RxMode};
+use crate::support::{self, decaf_readl, decaf_writel};
 
 /// TX descriptors per doorbell: the 8139 has only four transmit slots,
 /// so the ring batches shallowly.
@@ -36,6 +36,8 @@ pub const IRQ_LINE: u32 = 10;
 pub const MAC: [u8; 6] = [0x52, 0x54, 0x00, 0x12, 0x34, 0x56];
 /// DMA offset of the receive ring.
 pub const RX_RING_OFF: u32 = 0x4000;
+/// DMA offset one past the receive ring's last byte.
+const RX_RING_END: u64 = RX_RING_OFF as u64 + hwreg::RX_RING_LEN as u64;
 /// DMA offset of the four transmit buffers.
 pub const TX_BUF_OFF: usize = 0x100;
 
@@ -399,36 +401,21 @@ pub struct Decaf8139 {
     pub tx_path: Option<Rc<DataPathChannel>>,
     /// The receive shmring data path (shmring build only).
     pub rx_path: Option<Rc<DataPathChannel>>,
-    /// How this build collects received frames (shmring builds only).
-    pub rx_mode: RxMode,
     poll_timer: Option<TimerId>,
-    rx_poll_timer: Option<TimerId>,
 }
 
 /// Loads the decaf (split) driver with the kernel-resident data path.
 pub fn install_decaf(kernel: &Kernel, ifname: &str) -> KResult<Decaf8139> {
-    install_decaf_with(kernel, ifname, false, RxMode::Interrupt)
+    install_decaf_with(kernel, ifname, false)
 }
 
 /// Loads the decaf driver with the user-level shmring data path — the
 /// `ChannelConfig::kernel_user_shmring()` build for this adapter.
 pub fn install_shmring(kernel: &Kernel, ifname: &str) -> KResult<Decaf8139> {
-    install_decaf_with(kernel, ifname, true, RxMode::Interrupt)
+    install_decaf_with(kernel, ifname, true)
 }
 
-/// Loads the shmring build with [`RxMode::Poll`] receive: the first RX
-/// interrupt masks `INT_ROK`, and a periodic budgeted poll probes the
-/// byte-packed receive ring instead of riding doorbell upcalls.
-pub fn install_shmring_poll(kernel: &Kernel, ifname: &str) -> KResult<Decaf8139> {
-    install_decaf_with(kernel, ifname, true, RxMode::Poll)
-}
-
-fn install_decaf_with(
-    kernel: &Kernel,
-    ifname: &str,
-    shmring: bool,
-    rx_mode: RxMode,
-) -> KResult<Decaf8139> {
+fn install_decaf_with(kernel: &Kernel, ifname: &str, shmring: bool) -> KResult<Decaf8139> {
     let (bar, dma, dev) = attach(kernel);
     let hw = Rc::new(Rtl8139Hw::new(bar.clone(), dma));
     let plan = slice(minic::SOURCE, &SliceConfig::default()).map_err(|_| KError::Inval)?;
@@ -441,7 +428,7 @@ fn install_decaf_with(
     support::register_io_procs(&channel, bar).map_err(|_| KError::Io)?;
 
     let datapath = if shmring {
-        Some(build_datapath(kernel, &channel, &hw, ifname, rx_mode).map_err(|_| KError::Io)?)
+        Some(build_datapath(kernel, &channel, &hw, ifname).map_err(|_| KError::Io)?)
     } else {
         None
     };
@@ -635,14 +622,9 @@ fn install_decaf_with(
         Ok(())
     })?;
 
-    let (tx_path, rx_path, poll_timer, rx_poll_timer) = match datapath {
-        Some(dp) => (
-            Some(dp.tx),
-            Some(dp.rx),
-            Some(dp.poll_timer),
-            dp.rx_poll_timer,
-        ),
-        None => (None, None, None, None),
+    let (tx_path, rx_path, poll_timer) = match datapath {
+        Some(dp) => (Some(dp.tx), Some(dp.rx), Some(dp.poll_timer)),
+        None => (None, None, None),
     };
     Ok(Decaf8139 {
         kernel: kernel.clone(),
@@ -656,10 +638,18 @@ fn install_decaf_with(
         dev,
         tx_path,
         rx_path,
-        rx_mode,
         poll_timer,
-        rx_poll_timer,
     })
+}
+
+/// The shmring data-path pieces of the ring build: the TX and RX
+/// descriptor paths, the interrupt handler that feeds them, and the
+/// coalescing poll timer.
+struct ShmDataPath {
+    tx: Rc<DataPathChannel>,
+    rx: Rc<DataPathChannel>,
+    irq_handler: IrqHandler,
+    poll_timer: TimerId,
 }
 
 /// Builds the rings, the pool over the four hardware transmit buffers,
@@ -669,8 +659,7 @@ fn build_datapath(
     channel: &Rc<XpcChannel>,
     hw: &Rc<Rtl8139Hw>,
     ifname: &str,
-    rx_mode: RxMode,
-) -> decaf_xpc::XpcResult<support::ShmDataPath> {
+) -> decaf_xpc::XpcResult<ShmDataPath> {
     // The 8139 has exactly four 2 KiB transmit buffers; the pool wraps
     // them so ring descriptors point straight at hardware memory.
     let tx = DataPathChannel::new(
@@ -771,12 +760,7 @@ fn build_datapath(
                 }
                 k.net_tx_done(&name, pkts, bytes);
             }
-            if isr & hwreg::INT_ROK != 0 && rx_mode == RxMode::Poll {
-                // NAPI-style handoff: the first receive interrupt masks
-                // `INT_ROK`; the frames wait in the byte-packed hardware
-                // ring for the next poll tick.
-                hw.bar.write32(k, hwreg::IMR, hwreg::INT_TOK);
-            } else if isr & hwreg::INT_ROK != 0 {
+            if isr & hwreg::INT_ROK != 0 {
                 let _span = k.trace_span("rx", "irq");
                 // Harvest only what the shm ring can hold: the read
                 // pointer stays on the first unharvested frame, so a
@@ -802,6 +786,15 @@ fn build_datapath(
                         loop {
                             let _ = rx_dp.ring_doorbell(k);
                             for d in rx_dp.reclaim_completions(k) {
+                                // The decaf side wrote this completion: a
+                                // range outside the receive ring is
+                                // dropped, never dereferenced.
+                                if d.cookie < RX_RING_OFF as u64
+                                    || d.cookie.saturating_add(d.len as u64) > RX_RING_END
+                                {
+                                    k.net_rx_dropped(&name);
+                                    continue;
+                                }
                                 let data = hw.dma.read_bytes(d.cookie as usize, d.len as usize);
                                 let _ = k.netif_rx(
                                     &name,
@@ -838,67 +831,13 @@ fn build_datapath(
         })
     };
 
-    let poll_timer = support::shmring_poll_timer(kernel, "rtl8139_shmring_poll", &tx);
+    let poll_timer = support::tx_poll_timer(kernel, "rtl8139_shmring_poll", &[Rc::clone(&tx)]);
 
-    // Poll-mode receive: a fixed-grid tick replaces the RX doorbell
-    // upcall (see the e1000 sibling for the cost shape).
-    let rx_poll_timer = if rx_mode == RxMode::Poll {
-        let rx_dp = Rc::clone(&rx);
-        let hw_poll = Rc::clone(hw);
-        let name = ifname.to_string();
-        let timer = kernel.timer_create(
-            "rtl8139_rx_poll",
-            Rc::new(move |k| {
-                let rx_dp = Rc::clone(&rx_dp);
-                let hw = Rc::clone(&hw_poll);
-                let name = name.clone();
-                k.schedule_work("rtl8139_rx_poll_task", move |k| {
-                    let _span = k.trace_span("rx", "poll");
-                    let avail = rx_dp.ring().capacity() - rx_dp.pending();
-                    for (off, len) in hw.rx_harvest_limited(k, avail) {
-                        let _ = rx_dp.post(
-                            k,
-                            Descriptor {
-                                buf: decaf_shmring::BufHandle(0),
-                                len: len as u32,
-                                cookie: off as u64,
-                            },
-                        );
-                    }
-                    let end = rx_dp.end(Domain::Decaf);
-                    for d in end.poll_and_reclaim(k, support::RX_POLL_BUDGET) {
-                        let _ = end.complete(k, d);
-                    }
-                    for d in rx_dp.reclaim_completions(k) {
-                        let data = hw.dma.read_bytes(d.cookie as usize, d.len as usize);
-                        let _ = k.netif_rx(
-                            &name,
-                            SkBuff {
-                                data,
-                                protocol: 0x0800,
-                            },
-                        );
-                    }
-                    // Only rewind once nothing unread remains parked in
-                    // the shm ring (the hardware pointer is then safe).
-                    if rx_dp.pending() == 0 {
-                        hw.rx_maybe_rewind(k);
-                    }
-                });
-            }),
-        );
-        kernel.timer_arm_periodic(timer, support::RX_POLL_TICK_NS);
-        Some(timer)
-    } else {
-        None
-    };
-
-    Ok(support::ShmDataPath {
+    Ok(ShmDataPath {
         tx,
         rx,
         irq_handler,
         poll_timer,
-        rx_poll_timer,
     })
 }
 
@@ -911,9 +850,6 @@ impl Decaf8139 {
     /// Unloads the driver.
     pub fn remove(self) {
         if let Some(t) = self.poll_timer {
-            self.kernel.timer_del(t);
-        }
-        if let Some(t) = self.rx_poll_timer {
             self.kernel.timer_del(t);
         }
         self.kernel.free_irq(IRQ_LINE);
@@ -1016,45 +952,45 @@ mod tests {
     }
 
     #[test]
-    fn poll_mode_delivers_frames_without_rx_doorbells() {
-        const PKTS: u64 = 16;
-        let run = |poll: bool| {
-            let k = Kernel::new();
-            let drv = if poll {
-                install_shmring_poll(&k, "eth1").unwrap()
-            } else {
-                install_shmring(&k, "eth1").unwrap()
+    fn forged_rx_completions_are_dropped_not_dereferenced() {
+        // The decaf side writes the RX completion ring. A completion
+        // whose byte range leaves the receive ring must be dropped and
+        // counted, not read from DMA memory.
+        const PKTS: u64 = 8;
+        let k = Kernel::new();
+        let drv = install_shmring(&k, "eth1").unwrap();
+        k.netdev_open("eth1").unwrap();
+        let forged = [
+            (RX_RING_OFF as u64, 1 << 30),
+            (1 << 20, 64),
+            // Starts inside the ring, runs past its end.
+            (RX_RING_END - 8, 64),
+            // Below the ring.
+            (0, 64),
+            (u64::MAX, 64),
+        ];
+        let rx = drv.rx_path.as_ref().unwrap();
+        for (cookie, len) in forged {
+            let d = Descriptor {
+                buf: decaf_shmring::BufHandle(0),
+                len,
+                cookie,
             };
-            assert_eq!(
-                drv.rx_mode,
-                if poll {
-                    RxMode::Poll
-                } else {
-                    RxMode::Interrupt
-                }
-            );
-            k.netdev_open("eth1").unwrap();
+            rx.completions()
+                .push(&k, decaf_simkernel::CpuClass::User, d)
+                .unwrap();
+        }
+        for i in 0..PKTS {
+            k.net_xmit("eth1", SkBuff::synthetic(600, i as u8, 0x0800))
+                .unwrap();
             k.schedule_point();
-            for i in 0..PKTS {
-                k.net_xmit("eth1", SkBuff::synthetic(600, i as u8, 0x0800))
-                    .unwrap();
-                k.schedule_point();
-                k.run_for(200_000);
-            }
-            k.run_for(2 * decaf_simkernel::costs::DOORBELL_COALESCE_NS);
-            let st = k.net_stats("eth1");
-            assert_eq!(st.tx_packets, PKTS);
-            assert_eq!(st.rx_packets, PKTS, "every loopback frame delivered");
-            assert!(k.violations().is_empty(), "{:?}", k.violations());
-            drv.channel.stats().doorbells
-        };
-        // TX doorbells ring in both modes; the poll build must shed
-        // every RX doorbell crossing, receiving through budgeted probes.
-        let interrupt_mode = run(false);
-        let poll_mode = run(true);
-        assert!(
-            poll_mode < interrupt_mode,
-            "poll receive must shed doorbells: poll {poll_mode} vs interrupt {interrupt_mode}"
-        );
+            k.run_for(300_000);
+        }
+        k.run_for(3 * decaf_simkernel::costs::DOORBELL_COALESCE_NS);
+        let st = k.net_stats("eth1");
+        assert_eq!(st.tx_packets, PKTS);
+        assert_eq!(st.rx_packets, PKTS, "every real frame still delivered");
+        assert_eq!(st.rx_dropped, forged.len() as u64);
+        assert!(k.violations().is_empty(), "{:?}", k.violations());
     }
 }

@@ -4,56 +4,9 @@ use std::cell::Cell;
 use std::rc::Rc;
 
 use decaf_shmring::RingSet;
-use decaf_simkernel::kernel::IrqHandler;
 use decaf_simkernel::{costs, KError, Kernel, MmioRegion, TimerId};
 use decaf_xdr::XdrValue;
 use decaf_xpc::{ChannelConfig, DataPathChannel, Domain, ProcDef, XpcChannel, XpcResult};
-
-/// How a shmring NIC build collects received frames.
-///
-/// Two explicit modes with opposite cost shapes: interrupt-driven
-/// receive pays interrupt entry plus a doorbell crossing per batch but
-/// is free when the line is quiet; poll-mode receive masks the receive
-/// interrupt (NAPI-style, after the first one) and probes the ring on a
-/// fixed virtual-time grid, paying [`decaf_simkernel::costs::POLL_SPIN_NS`]
-/// per probe whether or not traffic arrived. Poll wins once the offered
-/// rate is high enough that probes rarely miss — the crossover the
-/// rx-mode ablation sweeps out.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RxMode {
-    /// Doorbell-interrupt receive: each hardware RX interrupt posts
-    /// harvested frames and rings the data-path doorbell from a work
-    /// item (the default, matching the kernel driver's shape).
-    #[default]
-    Interrupt,
-    /// Budgeted poll receive: the first RX interrupt masks further RX
-    /// interrupts; from then on a periodic tick probes the ring with
-    /// [`DataPathEnd::poll_and_reclaim`](decaf_xpc::DataPathEnd::poll_and_reclaim)
-    /// under [`RX_POLL_BUDGET`].
-    Poll,
-}
-
-/// Virtual-time period of the poll-mode receive tick.
-pub const RX_POLL_TICK_NS: u64 = 50_000;
-
-/// Descriptors one poll-mode tick may consume before yielding.
-pub const RX_POLL_BUDGET: usize = 64;
-
-/// The shmring data-path pieces of one installed driver build: the TX
-/// and RX descriptor paths, the interrupt handler that feeds them, and
-/// the coalescing poll timer.
-pub struct ShmDataPath {
-    /// Transmit path (stack → decaf driver → device).
-    pub tx: Rc<DataPathChannel>,
-    /// Receive path (IRQ → decaf driver → stack).
-    pub rx: Rc<DataPathChannel>,
-    /// The nucleus interrupt handler `request_irq` installs.
-    pub irq_handler: IrqHandler,
-    /// The periodic deadline-flush timer.
-    pub poll_timer: TimerId,
-    /// The poll-mode receive tick ([`RxMode::Poll`] builds only).
-    pub rx_poll_timer: Option<TimerId>,
-}
 
 /// Builds the netdev transmit op for a shmring TX path: frames post
 /// into the ring with a monotonic cookie. Frames over `max_len` fail
@@ -110,9 +63,12 @@ pub fn sharded_xmit_op(
     })
 }
 
-/// Arms the periodic coalescing poll for a set of sharded TX paths: one
-/// timer, one work item, each busy shard polled under its cost scope.
-pub fn sharded_poll_timer(
+/// Arms the periodic coalescing poll for a set of TX paths, one per
+/// shard (a single-queue build passes one). The timer (softirq priority)
+/// defers to one work item — upcalls are illegal from atomic context —
+/// which polls each busy path under its shard's cost scope: descriptors
+/// past the doorbell deadline flush and completed buffers are reclaimed.
+pub fn tx_poll_timer(
     kernel: &Kernel,
     name: &'static str,
     tx_paths: &[Rc<DataPathChannel>],
@@ -135,31 +91,6 @@ pub fn sharded_poll_timer(
                             let _ = paths[i].poll(k);
                         });
                     }
-                });
-            }
-        }),
-    );
-    kernel.timer_arm_periodic(timer, costs::DOORBELL_COALESCE_NS);
-    timer
-}
-
-/// Arms the periodic coalescing poll for a shmring TX path: the timer
-/// (softirq priority) defers to a work item — upcalls are illegal from
-/// atomic context — which flushes descriptors past the doorbell
-/// deadline and reclaims completed buffers.
-pub fn shmring_poll_timer(
-    kernel: &Kernel,
-    name: &'static str,
-    tx_dp: &Rc<DataPathChannel>,
-) -> TimerId {
-    let tx = Rc::clone(tx_dp);
-    let timer = kernel.timer_create(
-        name,
-        Rc::new(move |k| {
-            if tx.pending() > 0 || !tx.completions().is_empty() {
-                let tx = Rc::clone(&tx);
-                k.schedule_work(name, move |k| {
-                    let _ = tx.poll(k);
                 });
             }
         }),

@@ -64,6 +64,8 @@ pub struct NetStats {
     pub tx_bytes: u64,
     /// Transmit attempts that failed.
     pub tx_errors: u64,
+    /// Received frames the driver dropped as malformed.
+    pub rx_dropped: u64,
 }
 
 struct NetDev {
@@ -167,6 +169,14 @@ impl Kernel {
         d.stats.rx_packets += 1;
         d.stats.rx_bytes += skb.len() as u64;
         Ok(())
+    }
+
+    /// Records a received frame the driver dropped instead of delivering
+    /// (like `dev->stats.rx_dropped++`). Charges no time.
+    pub fn net_rx_dropped(&self, name: &str) {
+        if let Some(d) = self.inner().net.borrow_mut().devices.get_mut(name) {
+            d.stats.rx_dropped += 1;
+        }
     }
 
     /// Records completed transmissions (driver bookkeeping on TX IRQ).

@@ -13,8 +13,7 @@
 //!
 //! Run with: `cargo run --release --example poll_ablation [low_pps high_pps]`
 
-use decaf_core::drivers::support::RxMode;
-use decaf_core::experiments::{rx_crossover_pps, rx_mode_run, rx_mode_sweep};
+use decaf_core::experiments::{rx_crossover_pps, rx_mode_run, rx_mode_sweep, RxMode};
 
 fn main() {
     let mut args = std::env::args().skip(1);

@@ -348,22 +348,22 @@ fn shared_object_guard_with_real_driver() {
     assert_eq!(drv.channel.heap(Domain::Nucleus).borrow().len(), before);
 }
 
-/// The PR 2 acceptance claim at workload level: a netperf-shaped run on
-/// the shmring e1000 build crosses zero payload bytes through the XDR
-/// marshaler — the channel's marshaled-byte counters are identical no
+/// The zero-copy claim at workload level: a netperf-shaped run on the
+/// single-queue ring e1000 build (`install_sharded(.., 1)`) crosses zero
+/// payload bytes through the XDR marshaler — the channel's marshaled-byte counters are identical no
 /// matter the packet size, and throughput matches the kernel data path.
 #[test]
 fn shmring_netperf_crosses_zero_payload_bytes() {
     let run = |pkt_len: usize| {
         let k = Kernel::new();
-        let drv = decaf_core::drivers::e1000::decaf::install_shmring(&k, "eth0").unwrap();
+        let drv = decaf_core::drivers::e1000::decaf::install_sharded(&k, "eth0", 1).unwrap();
         k.netdev_open("eth0").unwrap();
         k.schedule_point();
-        let before = drv.channel.stats();
+        let before = drv.channels.stats();
         let stats =
             decaf_core::drivers::workloads::netperf_send(&k, "eth0", 1, 2_000, pkt_len).unwrap();
         k.run_for(2 * decaf_core::simkernel::costs::DOORBELL_COALESCE_NS);
-        let after = drv.channel.stats();
+        let after = drv.channels.stats();
         assert!(k.violations().is_empty(), "{:?}", k.violations());
         (
             stats,
@@ -425,7 +425,7 @@ fn copy_accounting_consistent_across_e1000_builds() {
         decaf_core::drivers::e1000::decaf::install(k, "eth0").unwrap();
     });
     let shmring = run(&|k| {
-        decaf_core::drivers::e1000::decaf::install_shmring(k, "eth0").unwrap();
+        decaf_core::drivers::e1000::decaf::install_sharded(k, "eth0", 1).unwrap();
     });
     // One copy into the device buffer (TX) + one into the stack (RX),
     // per packet, in every build.
