@@ -58,9 +58,8 @@ pub mod mutation {
 
     /// Arms the planted bug: the next [`super::UrbRingSet::complete`]
     /// on this thread pushes the giveback descriptor onto the home ring
-    /// *twice* — the submitter reclaims the same URB two times, which
-    /// the exactly-once-completion / pool-conservation oracle must
-    /// reject.
+    /// *twice* — the submitter must drop the duplicate as a rejected
+    /// giveback, and the fault oracle must flag that it had to.
     pub fn arm_double_complete() {
         DOUBLE_COMPLETE.with(|c| c.set(true));
     }

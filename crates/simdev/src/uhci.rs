@@ -13,6 +13,16 @@
 //! directly); the flash protocol is a two-command subset of bulk-only
 //! transport (`W` = write sector, `R` = stage sector for reading).
 //!
+//! The walk visits frames in ascending order but skips terminated
+//! frame-list entries at zero virtual cost: only active TDs charge
+//! [`costs::DMA_DESC_NS`]. On the host it finds the next live frame with
+//! one in-place scan of the remaining entries
+//! ([`DmaMemory::with_slice`]), so a kick costs O(live frames + active
+//! TDs) rather than a DMA read per frame. Each scan starts where the
+//! last chain ended and reads the list as it is then, so an IN transfer
+//! that rewrites a later entry is honoured. `FRNUM` reads back the last
+//! live frame the walk executed.
+//!
 //! The drive exposes [`MAX_LUNS`] logical units, each with its own
 //! sector store and staged-read state, addressed by per-LUN endpoint
 //! pairs ([`ep_bulk_out`]/[`ep_bulk_in`]) — real bulk-only devices put
@@ -109,6 +119,42 @@ pub fn lun_of_endpoint(endpoint: u32) -> Option<usize> {
         ep => ((ep - EP_BULK_IN) / 2) as usize,
     };
     (lun < MAX_LUNS).then_some(lun)
+}
+
+/// Entries in the frame list.
+const FRAMES: usize = 1024;
+
+/// The little-endian dword at the start of `bytes`.
+fn dword(bytes: &[u8]) -> u32 {
+    u32::from_le_bytes(bytes[..4].try_into().expect("four bytes"))
+}
+
+/// The index and value of the first frame-list entry in `entries` whose
+/// terminate bit is clear. Whole 16-entry blocks are tested at once —
+/// AND-ing them as dword pairs keeps the terminate bit only if every
+/// entry has it — so a mostly-terminated list costs a few dozen wide
+/// loads rather than a test per entry.
+fn first_live_entry(entries: &[u8]) -> Option<(usize, u32)> {
+    const BLOCK: usize = 16 * 4;
+    const DEAD_PAIR: u64 = (LINK_TERMINATE as u64) << 32 | LINK_TERMINATE as u64;
+    for (b, block) in entries.chunks(BLOCK).enumerate() {
+        let all_dead = block.len() == BLOCK
+            && block.chunks_exact(8).fold(DEAD_PAIR, |acc, pair| {
+                acc & u64::from_le_bytes(pair.try_into().expect("eight bytes"))
+            }) == DEAD_PAIR;
+        if all_dead {
+            continue;
+        }
+        let live = block
+            .chunks_exact(4)
+            .map(dword)
+            .enumerate()
+            .find(|&(_, entry)| entry & LINK_TERMINATE == 0);
+        if let Some((i, entry)) = live {
+            return Some((b * BLOCK / 4 + i, entry));
+        }
+    }
+    None
 }
 
 /// Flash command byte: write the following sector payload.
@@ -268,24 +314,36 @@ impl UhciDevice {
         out
     }
 
-    /// Walks the frame list, executing every active TD chain.
+    /// The first frame at or after `from` whose frame-list entry has the
+    /// terminate bit clear, with that entry. Reads the entries as they
+    /// are *now* — an earlier TD's IN transfer may have rewritten them.
+    ///
+    /// # Panics
+    /// Panics if the frame list overruns DMA memory.
+    fn next_live_frame(&self, from: usize) -> Option<(usize, u32)> {
+        let at = self.frbase as usize + from * 4;
+        self.dma.with_slice(at, (FRAMES - from) * 4, |entries| {
+            first_live_entry(entries).map(|(i, entry)| (from + i, entry))
+        })
+    }
+
+    /// Walks the frame list in frame order, executing every active TD
+    /// chain. Terminated frames are skipped without executing anything,
+    /// so they cost no virtual time and the scan is cheap on the host.
     fn run_schedule(&mut self, kernel: &Kernel) {
         if self.usbcmd & CMD_RS == 0 || !self.frbase_installed {
             return;
         }
         let mut completed = false;
-        for frame in 0..1024usize {
-            let entry = self.dma.read_u32(self.frbase as usize + frame * 4);
-            if entry & LINK_TERMINATE != 0 {
-                continue;
-            }
+        let mut from = 0;
+        while let Some((frame, entry)) = self.next_live_frame(from) {
             let mut td_addr = (entry & !0xf) as usize;
             // Bounded walk to tolerate malformed schedules.
             for _ in 0..256 {
-                let link = self.dma.read_u32(td_addr);
-                let status = self.dma.read_u32(td_addr + 4);
-                let token = self.dma.read_u32(td_addr + 8);
-                let buffer = self.dma.read_u32(td_addr + 12) as usize;
+                let [link, status, token, buffer] = self.dma.with_slice(td_addr, 16, |td| {
+                    std::array::from_fn(|i| dword(&td[4 * i..]))
+                });
+                let buffer = buffer as usize;
                 if status & TD_ACTIVE != 0 {
                     kernel.charge_kernel(costs::DMA_DESC_NS);
                     let endpoint = (token >> 15) & 0xf;
@@ -354,6 +412,7 @@ impl UhciDevice {
                 td_addr = (link & !0xf) as usize;
             }
             self.frnum = frame as u32;
+            from = frame + 1;
         }
         if completed {
             self.usbsts |= STS_USBINT;
@@ -450,12 +509,122 @@ mod tests {
     }
 
     fn install_frame_list(k: &Kernel, dev: &mut UhciDevice, dma: &DmaMemory, td_at: usize) {
-        // Frame list at 0x0; all terminate except frame 0.
-        for f in 0..1024 {
+        install_frames(k, dev, dma, &[(0, td_at)]);
+    }
+
+    /// Installs a frame list at 0x0 whose `(frame, td)` entries point at
+    /// TDs and whose every other entry terminates.
+    fn install_frames(k: &Kernel, dev: &mut UhciDevice, dma: &DmaMemory, live: &[(usize, usize)]) {
+        for f in 0..FRAMES {
             dma.write_u32(f * 4, LINK_TERMINATE);
         }
-        dma.write_u32(0, td_at as u32);
+        for &(frame, td_at) in live {
+            dma.write_u32(frame * 4, td_at as u32);
+        }
         dev.write32(k, FRBASEADD, 0);
+    }
+
+    #[test]
+    fn walk_executes_sparse_frames_in_frame_order() {
+        // One 'W' command scattered across MORE-chained TDs hung off
+        // frames 5, 15, 16, 17 and 1023 — either side of 16-entry block
+        // edges and at the last frame. Only frame order reassembles the
+        // command byte for byte, and only active TDs charge time.
+        let (k, mut dev, dma) = setup();
+        let mut payload = vec![FLASH_CMD_WRITE];
+        payload.extend_from_slice(&12u32.to_le_bytes());
+        payload.extend_from_slice(&(0..SECTOR_SIZE).map(|i| (i * 7) as u8).collect::<Vec<_>>());
+        let frames = [5usize, 15, 16, 17, 1023];
+        let cuts = [0usize, 3, 50, 200, 201, payload.len()];
+        let mut live = Vec::new();
+        for (i, &frame) in frames.iter().enumerate() {
+            let (td, buf) = (0x2000 + 0x10 * i, 0x6000 + 0x400 * i);
+            let seg = &payload[cuts[i]..cuts[i + 1]];
+            dma.write_bytes(buf, seg);
+            let flags = if i + 1 < frames.len() {
+                TD_TOKEN_MORE
+            } else {
+                0
+            };
+            build_td_flags(&dma, td, ep_bulk_out(0), buf, seg.len(), flags);
+            live.push((frame, td));
+        }
+        install_frames(&k, &mut dev, &dma, &live);
+        let t0 = k.now_ns();
+        dev.write32(&k, USBCMD, CMD_RS);
+
+        assert_eq!(dev.tds_completed, 5);
+        assert_eq!(dev.flash_writes(), 1, "one command, five frames");
+        assert_eq!(dev.flash_sector(12).unwrap(), payload[5..].to_vec());
+        assert_eq!(
+            k.now_ns() - t0,
+            5 * costs::DMA_DESC_NS,
+            "dead frames are free"
+        );
+        assert_eq!(dev.read32(&k, FRNUM), 1023, "walk ended at the last frame");
+
+        // A second kick finds only retired TDs: nothing runs, nothing
+        // is charged.
+        let t1 = k.now_ns();
+        dev.write32(&k, USBCMD, CMD_RS);
+        assert_eq!(dev.tds_completed, 5);
+        assert_eq!(k.now_ns(), t1);
+    }
+
+    #[test]
+    fn frnum_reads_back_the_last_live_frame() {
+        let (k, mut dev, dma) = setup();
+        build_td(&dma, 0x2000, EP_BULK_IN, 0x7000, SECTOR_SIZE);
+        build_td(&dma, 0x2010, EP_BULK_IN, 0x7000, SECTOR_SIZE);
+        install_frames(&k, &mut dev, &dma, &[(0, 0x2000), (700, 0x2010)]);
+        dev.write32(&k, USBCMD, CMD_RS);
+        assert_eq!(dev.read32(&k, FRNUM), 700);
+        install_frame_list(&k, &mut dev, &dma, 0x2000);
+        dev.write32(&k, USBCMD, CMD_RS);
+        assert_eq!(dev.read32(&k, FRNUM), 0);
+    }
+
+    #[test]
+    fn walk_rereads_frame_entries_an_in_transfer_rewrote() {
+        // Frame 0's chain stages a read and then DMAs a 4-byte sector
+        // straight into frame 40's entry, making it point at a 'W' TD;
+        // a second staged read terminates frame 41's entry, which the
+        // original list pointed at another 'W' TD. The walk must see
+        // both rewrites: the first TD runs, the second does not.
+        let (k, mut dev, dma) = setup();
+        dev.preload_sector(1, 0x3000u32.to_le_bytes().to_vec());
+        dev.preload_sector(2, LINK_TERMINATE.to_le_bytes().to_vec());
+        let stage = |sector: u32, at: usize| {
+            let mut r = vec![FLASH_CMD_READ];
+            r.extend_from_slice(&sector.to_le_bytes());
+            dma.write_bytes(at, &r);
+        };
+        stage(1, 0x6000);
+        stage(2, 0x6010);
+        build_td(&dma, 0x2000, ep_bulk_out(0), 0x6000, 5);
+        build_td(&dma, 0x2010, ep_bulk_in(0), 40 * 4, 4);
+        build_td(&dma, 0x2020, ep_bulk_out(0), 0x6010, 5);
+        build_td(&dma, 0x2030, ep_bulk_in(0), 41 * 4, 4);
+        dma.write_u32(0x2000, 0x2010);
+        dma.write_u32(0x2010, 0x2020);
+        dma.write_u32(0x2020, 0x2030);
+        for (td, sector, fill) in [(0x3000usize, 20u32, 0x3au8), (0x3010, 21, 0x3b)] {
+            let mut w = vec![FLASH_CMD_WRITE];
+            w.extend_from_slice(&sector.to_le_bytes());
+            w.extend_from_slice(&[fill; 8]);
+            let buf = 0x6100 + (td - 0x3000) * 0x10;
+            dma.write_bytes(buf, &w);
+            build_td(&dma, td, ep_bulk_out(0), buf, w.len());
+        }
+        install_frames(&k, &mut dev, &dma, &[(0, 0x2000), (41, 0x3010)]);
+        dev.write32(&k, USBCMD, CMD_RS);
+
+        assert_eq!(dma.read_u32(40 * 4), 0x3000, "IN DMA linked frame 40");
+        assert_eq!(dma.read_u32(41 * 4), LINK_TERMINATE, "IN DMA cut frame 41");
+        assert_eq!(dev.flash_sector(20).unwrap(), vec![0x3a; 8]);
+        assert_eq!(dev.flash_sector(21), None, "terminated frame skipped");
+        assert_eq!(dev.tds_completed, 5);
+        assert_eq!(dev.read32(&k, FRNUM), 40);
     }
 
     #[test]

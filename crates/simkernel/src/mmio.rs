@@ -127,6 +127,22 @@ impl DmaMemory {
         b[offset..offset + 8].copy_from_slice(&value.to_le_bytes());
     }
 
+    /// Runs `f` on `len` bytes at `offset` in place, under one borrow and
+    /// without copying — for scans too hot to pay a borrow and a bounds
+    /// check per word. `f` must not write to this region: the borrow is
+    /// held while it runs.
+    ///
+    /// # Panics
+    /// Panics if the slice is out of bounds, like [`DmaMemory::read_u32`].
+    pub fn with_slice<R>(&self, offset: usize, len: usize, f: impl FnOnce(&[u8]) -> R) -> R {
+        let b = self.bytes.borrow();
+        let end = offset.checked_add(len).filter(|&end| end <= b.len());
+        let Some(end) = end else {
+            panic!("dma with_slice bounds: {offset}+{len} > {}", b.len());
+        };
+        f(&b[offset..end])
+    }
+
     /// Copies bytes out of the region.
     pub fn read_bytes(&self, offset: usize, len: usize) -> Vec<u8> {
         self.bytes.borrow()[offset..offset + len].to_vec()
@@ -183,5 +199,20 @@ mod tests {
     fn dma_out_of_bounds_panics() {
         let m = DmaMemory::new(4);
         let _ = m.read_u32(2);
+    }
+
+    #[test]
+    fn dma_with_slice_reads_in_place() {
+        let m = DmaMemory::new(16);
+        m.write_bytes(4, &[7, 8, 9]);
+        assert_eq!(m.with_slice(4, 3, |s| s.to_vec()), vec![7, 8, 9]);
+        assert_eq!(m.with_slice(16, 0, |s| s.len()), 0, "empty tail slice");
+    }
+
+    #[test]
+    #[should_panic(expected = "dma with_slice bounds")]
+    fn dma_with_slice_out_of_bounds_panics() {
+        let m = DmaMemory::new(16);
+        m.with_slice(12, 8, |_| ());
     }
 }

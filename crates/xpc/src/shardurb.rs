@@ -275,6 +275,7 @@ impl ShardedUrbPath {
             let s = p.stats();
             total.submitted += s.submitted;
             total.given_back += s.given_back;
+            total.rejected_givebacks += s.rejected_givebacks;
             total.in_flight_hwm = total.in_flight_hwm.max(s.in_flight_hwm);
         }
         total

@@ -49,6 +49,10 @@ pub struct UrbPathStats {
     pub given_back: u64,
     /// Most URBs simultaneously in flight.
     pub in_flight_hwm: u64,
+    /// Givebacks dropped unreclaimed because nothing was in flight or
+    /// the pool did not hold their handle — forged or duplicated by the
+    /// completer.
+    pub rejected_givebacks: u64,
 }
 
 /// One reclaimed URB completion, ready for the submitter's callback
@@ -380,25 +384,23 @@ impl UrbDataPath {
     /// the IN-direction payload in place (the ownership handback), frees
     /// the sector run, and returns a [`UrbReclaim`] for the submitter's
     /// callback dispatch. Givebacks may arrive in any order.
+    ///
+    /// The giveback ring is written by the other side of the boundary,
+    /// so a giveback is trusted only as far as the nucleus can check it:
+    /// one that arrives with nothing in flight, or whose handle the pool
+    /// does not hold, is dropped — no reclaim, no ledger change — and
+    /// counted in [`UrbPathStats::rejected_givebacks`].
     pub fn reclaim(&self, kernel: &Kernel) -> Vec<UrbReclaim> {
         let done = self.giveback.drain(kernel, self.producer.cpu_class());
-        if !done.is_empty() {
-            // Every giveback frees its sector run below, so one instant
-            // carries both the reclaim count and the pool releases.
-            kernel.trace_instant(
-                "ring",
-                "reclaim",
-                &[
-                    ("completions", done.len() as u64),
-                    ("freed_runs", done.len() as u64),
-                ],
-            );
-        }
         let mut out = Vec::with_capacity(done.len());
-        for d in done {
-            // An inconsistent giveback (actual exceeding the chain, a
-            // stale handle) must surface as -EIO, never masquerade as a
-            // successful zero-byte read.
+        for d in &done {
+            if self.in_flight.get() == 0 {
+                self.bump(|s| s.rejected_givebacks += 1);
+                continue;
+            }
+            // An inconsistent giveback (actual exceeding the chain) must
+            // surface as -EIO, never masquerade as a successful
+            // zero-byte read.
             let (status, data) = if d.dir == XferDir::In && d.ok() {
                 match self.pool.read_payload_sg(d.buf, d.actual as usize) {
                     Ok(data) => (d.status, data),
@@ -407,11 +409,10 @@ impl UrbDataPath {
             } else {
                 (d.status, Vec::new())
             };
-            let freed = self.pool.free_sg(d.buf);
-            debug_assert!(
-                freed.is_ok(),
-                "giveback carried a handle the pool rejects: {freed:?}"
-            );
+            if self.pool.free_sg(d.buf).is_err() {
+                self.bump(|s| s.rejected_givebacks += 1);
+                continue;
+            }
             self.in_flight.set(self.in_flight.get() - 1);
             self.bump(|s| s.given_back += 1);
             out.push(UrbReclaim {
@@ -421,6 +422,18 @@ impl UrbDataPath {
                 dir: d.dir,
                 data,
             });
+        }
+        if !done.is_empty() {
+            // Every accepted giveback freed its sector run above, so one
+            // instant carries both the drain count and the pool releases.
+            kernel.trace_instant(
+                "ring",
+                "reclaim",
+                &[
+                    ("completions", done.len() as u64),
+                    ("freed_runs", out.len() as u64),
+                ],
+            );
         }
         out
     }
@@ -477,6 +490,7 @@ impl UrbEnd {
 mod tests {
     use super::*;
     use crate::endpoint::{ChannelConfig, ProcDef};
+    use decaf_shmring::SgHandle;
     use decaf_simkernel::costs;
     use decaf_xdr::mask::MaskSet;
     use decaf_xdr::XdrSpec;
@@ -774,6 +788,55 @@ mod tests {
         }
         assert!(dp.conserved());
         assert!(pool.conserved());
+    }
+
+    #[test]
+    fn forged_givebacks_are_dropped_without_touching_the_ledger() {
+        // The giveback ring is written across the boundary. A giveback
+        // naming a handle the pool never issued used to trip the
+        // free_sg assertion, and one arriving with nothing in flight
+        // underflowed `in_flight`. Both must be dropped and counted.
+        let (k, dp) = path(8);
+        let end = dp.end(Domain::Decaf);
+        dp.submit_out(&k, 2, b"cmd", 1).unwrap();
+        end.complete(
+            &k,
+            UrbDescriptor::request_out(SgHandle(999), 0, 2, 77).completed(0, 0),
+        )
+        .unwrap();
+        assert!(dp.reclaim(&k).is_empty(), "unknown handle reclaimed");
+        assert_eq!(dp.in_flight(), 1, "the real URB is still in flight");
+
+        dp.ring_doorbell(&k).unwrap();
+        assert_eq!(dp.reclaim(&k).len(), 1);
+        assert_eq!(dp.in_flight(), 0);
+        // A live chain the submitter never posted, given back with
+        // nothing in flight: dropped, and the chain stays allocated.
+        let live = dp.pool().alloc_sg(512).unwrap();
+        end.complete(
+            &k,
+            UrbDescriptor::request_out(live, 512, 2, 78).completed(0, 512),
+        )
+        .unwrap();
+        assert!(dp.reclaim(&k).is_empty(), "giveback with nothing in flight");
+        assert_eq!(
+            dp.pool().in_use_sectors(),
+            1,
+            "the live chain was not freed"
+        );
+        dp.pool().free_sg(live).unwrap();
+
+        let s = dp.stats();
+        assert_eq!(s.rejected_givebacks, 2);
+        assert_eq!((s.submitted, s.given_back), (1, 1), "ledger untouched");
+        // The path still works: a real URB submitted afterwards completes.
+        dp.submit_out(&k, 2, b"after", 3).unwrap();
+        dp.ring_doorbell(&k).unwrap();
+        let done = dp.reclaim(&k);
+        assert_eq!(done.len(), 1);
+        assert_eq!((done[0].cookie, done[0].actual), (3, 5));
+        assert!(dp.conserved());
+        assert!(dp.pool().conserved());
     }
 
     #[test]

@@ -326,6 +326,12 @@ pub fn run_storage_fault_schedule(
         // every fault point, not just at settle.
         assert!(drv.urb_path.conserved(), "{}", ctx(t));
         assert!(drv.urb_path.set().pool().conserved(), "{}", ctx(t));
+        assert_eq!(
+            drv.urb_path.stats().rejected_givebacks,
+            0,
+            "{}: a giveback was forged or duplicated",
+            ctx(t)
+        );
         assert_eq!(k.stats().bytes_copied, 0, "{}", ctx(t));
         assert!(
             k.violations().is_empty(),
@@ -353,6 +359,12 @@ pub fn run_storage_fault_schedule(
         );
     }
     assert!(drv.urb_path.conserved(), "{}", ctx(settle));
+    assert_eq!(
+        drv.urb_path.stats().rejected_givebacks,
+        0,
+        "{}: a giveback was forged or duplicated",
+        ctx(settle)
+    );
     assert_eq!(
         drv.urb_path.set().pool().in_use_sectors(),
         0,

@@ -299,8 +299,8 @@ fn storage_fault_sweep_four_shards() {
 
 /// Oracle sensitivity: with the planted double-completion bug armed,
 /// the same replay that passes the sweep must *fail* — one giveback
-/// lands twice and the submitter reclaims the same URB twice, which
-/// the exactly-once-completion / pool oracle has to reject.
+/// lands twice; the submitter reclaims the URB once and drops the
+/// duplicate as a rejected giveback, which the oracle has to flag.
 #[test]
 #[cfg(debug_assertions)] // the mutation seam exists in debug builds only
 fn fault_oracle_rejects_planted_double_completion() {
