@@ -116,14 +116,7 @@ fn channel(config: ChannelConfig) -> (Kernel, XpcChannel, u64) {
 
 fn bench_xpc_call(c: &mut Criterion) {
     // Ablation: thread-reuse (InProc) vs dedicated-thread handoff.
-    let (kernel, ch, a) = channel(ChannelConfig {
-        domain_crossing: true,
-        cross_language: true,
-        transport: TransportKind::InProc,
-        delta: false,
-        shmring: false,
-        ..ChannelConfig::kernel_user()
-    });
+    let (kernel, ch, a) = channel(ChannelConfig::kernel_user());
     c.bench_function("xpc/roundtrip_inproc", |b| {
         b.iter(|| {
             ch.call(&kernel, Domain::Nucleus, "touch", &[Some(a)], &[])
@@ -131,11 +124,7 @@ fn bench_xpc_call(c: &mut Criterion) {
         })
     });
     let (kernel, ch, a) = channel(ChannelConfig {
-        domain_crossing: true,
-        cross_language: true,
         transport: TransportKind::Threaded,
-        delta: false,
-        shmring: false,
         ..ChannelConfig::kernel_user()
     });
     c.bench_function("xpc/roundtrip_threaded_model", |b| {
@@ -146,11 +135,7 @@ fn bench_xpc_call(c: &mut Criterion) {
     });
     // Cross-language conversion off: the kernel/user-only path.
     let (kernel, ch, a) = channel(ChannelConfig {
-        domain_crossing: true,
         cross_language: false,
-        transport: TransportKind::InProc,
-        delta: false,
-        shmring: false,
         ..ChannelConfig::kernel_user()
     });
     c.bench_function("xpc/roundtrip_no_crosslang", |b| {

@@ -723,7 +723,7 @@ pub fn datapath_run(kind: DataPathKind, packets: u32) -> DataPathAblationRow {
         ),
         DataPathKind::Shmring => (
             "shmring (descriptors)",
-            ChannelConfig::kernel_user_shmring(),
+            ChannelConfig::kernel_user_batched(),
         ),
     };
     let ch = Rc::new(XpcChannel::new(
@@ -2034,7 +2034,7 @@ pub fn rx_mode_run_schedule(mode: RxMode, schedule: &[u64]) -> (u64, u64, u64, L
     let ch = Rc::new(XpcChannel::new(
         spec,
         decaf_xdr::mask::MaskSet::full(),
-        ChannelConfig::kernel_user_shmring(),
+        ChannelConfig::kernel_user_batched(),
         Domain::Nucleus,
         Domain::Decaf,
     ));

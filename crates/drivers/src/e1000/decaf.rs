@@ -295,7 +295,7 @@ pub fn install_sharded(kernel: &Kernel, ifname: &str, shards: usize) -> KResult<
     let channels = ShardedChannel::new(
         plan.spec.clone(),
         plan.masks.clone(),
-        ChannelConfig::kernel_user_async_shmring(),
+        ChannelConfig::kernel_user_async(),
         Domain::Nucleus,
         Domain::Decaf,
         shards,

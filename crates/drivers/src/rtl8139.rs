@@ -22,7 +22,7 @@ use decaf_simkernel::{
 use decaf_slicer::{slice, SliceConfig, SlicePlan};
 use decaf_xdr::graph::CAddr;
 use decaf_xdr::XdrValue;
-use decaf_xpc::{ChannelConfig, DataPathChannel, Domain, NuclearRuntime, ProcDef, XpcChannel};
+use decaf_xpc::{DataPathChannel, Domain, NuclearRuntime, ProcDef, XpcChannel};
 
 use crate::support::{self, decaf_readl, decaf_writel};
 
@@ -409,8 +409,9 @@ pub fn install_decaf(kernel: &Kernel, ifname: &str) -> KResult<Decaf8139> {
     install_decaf_with(kernel, ifname, false)
 }
 
-/// Loads the decaf driver with the user-level shmring data path — the
-/// `ChannelConfig::kernel_user_shmring()` build for this adapter.
+/// Loads the decaf driver with the user-level shmring data path:
+/// descriptors ride a shared-memory ring whose doorbells cross the same
+/// batched control channel the kernel-data-path build uses.
 pub fn install_shmring(kernel: &Kernel, ifname: &str) -> KResult<Decaf8139> {
     install_decaf_with(kernel, ifname, true)
 }
@@ -419,12 +420,7 @@ fn install_decaf_with(kernel: &Kernel, ifname: &str, shmring: bool) -> KResult<D
     let (bar, dma, dev) = attach(kernel);
     let hw = Rc::new(Rtl8139Hw::new(bar.clone(), dma));
     let plan = slice(minic::SOURCE, &SliceConfig::default()).map_err(|_| KError::Inval)?;
-    let config = if shmring {
-        ChannelConfig::kernel_user_shmring()
-    } else {
-        ChannelConfig::kernel_user_batched()
-    };
-    let channel = support::channel_from_plan_with(&plan, config);
+    let channel = support::channel_from_plan(&plan);
     support::register_io_procs(&channel, bar).map_err(|_| KError::Io)?;
 
     let datapath = if shmring {

@@ -232,7 +232,7 @@ pub fn install_open_loop_net(
     let sc = ShardedChannel::new(
         decaf_xdr::XdrSpec::parse("struct unused { int x; };").expect("static spec"),
         decaf_xdr::mask::MaskSet::full(),
-        ChannelConfig::kernel_user_async_shmring(),
+        ChannelConfig::kernel_user_async(),
         Domain::Nucleus,
         Domain::Decaf,
         shards,
@@ -293,7 +293,7 @@ pub fn install_open_loop_storage(
     let sc = ShardedChannel::new(
         decaf_xdr::XdrSpec::parse("struct unused { int x; };").expect("static spec"),
         decaf_xdr::mask::MaskSet::full(),
-        ChannelConfig::kernel_user_shmring(),
+        ChannelConfig::kernel_user_batched(),
         Domain::Nucleus,
         Domain::Decaf,
         shards,

@@ -877,7 +877,7 @@ pub fn install_sharded(kernel: &Kernel, hcd: &str, shards: usize) -> KResult<Sha
     let channels = ShardedChannel::new(
         plan.spec.clone(),
         plan.masks.clone(),
-        ChannelConfig::kernel_user_shmring(),
+        ChannelConfig::kernel_user_batched(),
         Domain::Nucleus,
         Domain::Decaf,
         shards,

@@ -396,7 +396,7 @@ mod tests {
         Rc::new(XpcChannel::new(
             XdrSpec::parse("struct unused { int x; };").unwrap(),
             MaskSet::full(),
-            ChannelConfig::kernel_user_shmring(),
+            ChannelConfig::kernel_user_batched(),
             Domain::Nucleus,
             Domain::Decaf,
         ))
@@ -566,7 +566,7 @@ mod tests {
         let ch = Rc::new(XpcChannel::new(
             XdrSpec::parse("struct unused { int x; };").unwrap(),
             MaskSet::full(),
-            ChannelConfig::kernel_user_async_shmring(),
+            ChannelConfig::kernel_user_async(),
             Domain::Nucleus,
             Domain::Decaf,
         ));

@@ -1,14 +1,13 @@
-//! XPC channels: the stub layer over pluggable transports.
+//! XPC channels: the stub layer over the four transport kinds.
 //!
-//! An [`XpcChannel`] connects two domains. It is split into two layers:
-//!
-//! * the **stub layer** (this module) performs the six steps the paper's
-//!   Jeannie stubs perform (§3.1.1, Figure 2) — tracker translation,
-//!   marshal, transfer, unmarshal, dispatch, out-parameter return;
-//! * the **[`Transport`]** (see [`crate::transport`]) decides how control
-//!   reaches the other side: thread reuse ([`TransportKind::InProc`]),
-//!   dedicated-thread handoff ([`TransportKind::Threaded`]), or deferred
-//!   batching ([`TransportKind::Batched`]).
+//! An [`XpcChannel`] connects two domains. Its stub layer performs the
+//! six steps the paper's Jeannie stubs perform (§3.1.1, Figure 2) —
+//! tracker translation, marshal, transfer, unmarshal, dispatch,
+//! out-parameter return. The channel's [`TransportKind`] (see
+//! [`crate::transport`]) decides how control reaches the other side:
+//! thread reuse ([`TransportKind::InProc`]), dedicated-thread handoff
+//! ([`TransportKind::Threaded`]), or deferred batching
+//! ([`TransportKind::Batched`], [`TransportKind::Async`]).
 //!
 //! A call performs:
 //!
@@ -20,12 +19,12 @@
 //!    (field-selective, cycle-aware, and — when `ChannelConfig::delta` is
 //!    on — dirty-field deltas for objects the peer has already seen);
 //! 4. control transfers to the target domain (cost priced by the
-//!    [`Transport`] and whether a protection boundary is crossed);
+//!    [`TransportKind`] and whether a protection boundary is crossed);
 //! 5. the target unmarshals, consulting *its* object tracker so existing
 //!    objects update in place, then the handler runs;
 //! 6. out-parameters marshal back and the caller's objects are updated.
 //!
-//! On a batched transport, deferred calls park in the transport's queue;
+//! On a batched transport, deferred calls park in the channel's queue;
 //! the whole batch later crosses in a *single* round trip — its arguments
 //! share one seen-table (cross-call structure sharing) and the flush is
 //! charged one crossing, not one per call.
@@ -58,7 +57,7 @@ use decaf_xdr::{XdrSpec, XdrValue};
 use crate::domain::Domain;
 use crate::error::{XpcError, XpcResult};
 use crate::tracker::{ObjectTracker, TrackerStats};
-use crate::transport::{self, CompletionToken, DeferredCall, Transport, TransportKind};
+use crate::transport::{CompletionToken, DeferQueue, DeferredCall, TransportKind};
 
 /// Static configuration of a channel.
 #[derive(Debug, Clone, Copy)]
@@ -75,19 +74,6 @@ pub struct ChannelConfig {
     /// Whether repeat transfers of an object marshal only fields written
     /// since its last crossing (dirty-field delta marshaling).
     pub delta: bool,
-    /// Whether the channel's *data path* rides a pinned shared-memory
-    /// descriptor ring (`DataPathChannel`): payload bytes stay in the
-    /// shared buffer pool and only 16-byte descriptors plus a coalesced
-    /// doorbell cross the boundary. Control paths are unaffected.
-    pub shmring: bool,
-    /// Flush watermark of a queueing transport: deferred calls queued
-    /// beyond this point force a flush. Ignored by non-queueing
-    /// transports.
-    pub batch_capacity: usize,
-    /// Adaptive-batching deadline of a queueing transport: a partial
-    /// batch flushes once its oldest call has waited this much virtual
-    /// time. Ignored by non-queueing transports.
-    pub batch_deadline_ns: u64,
 }
 
 impl ChannelConfig {
@@ -100,15 +86,13 @@ impl ChannelConfig {
             cross_language: true,
             transport: TransportKind::InProc,
             delta: false,
-            shmring: false,
-            batch_capacity: transport::DEFAULT_BATCH_CAPACITY,
-            batch_deadline_ns: transport::DEFAULT_BATCH_DEADLINE_NS,
         }
     }
 
     /// The optimized kernel↔user configuration: batched transport plus
     /// dirty-field delta marshaling. Used by the decaf driver builds for
-    /// their configuration/control paths.
+    /// their configuration/control paths and by the synchronous
+    /// shared-memory ring builds, whose doorbells ride it.
     pub fn kernel_user_batched() -> Self {
         ChannelConfig {
             transport: TransportKind::Batched,
@@ -117,47 +101,16 @@ impl ChannelConfig {
         }
     }
 
-    /// The user-level data-path configuration: everything
-    /// [`ChannelConfig::kernel_user_batched`] does, plus a shared-memory
-    /// descriptor ring for packet payloads. This is the first
-    /// configuration where hosting the hot path at user level undercuts
-    /// the kernel copy path: descriptors and doorbells cross, payload
-    /// bytes never touch the XDR marshaler.
-    pub fn kernel_user_shmring() -> Self {
-        ChannelConfig {
-            shmring: true,
-            ..ChannelConfig::kernel_user_batched()
-        }
-    }
-
     /// The completion-based kernel↔user configuration: everything
     /// [`ChannelConfig::kernel_user_batched`] does, but flushes *launch*
     /// the boundary crossing instead of blocking on it — the crossing's
     /// latency is charged at harvest time, net of whatever computation
-    /// overlapped it.
+    /// overlapped it. The sharded ring builds ride it, so their
+    /// doorbell crossings hide behind driver computation.
     pub fn kernel_user_async() -> Self {
         ChannelConfig {
             transport: TransportKind::Async,
             ..ChannelConfig::kernel_user_batched()
-        }
-    }
-
-    /// The async data-path configuration: [`ChannelConfig::kernel_user_async`]
-    /// plus a shared-memory descriptor ring for payloads — doorbells
-    /// launch, descriptors ride rings, payload bytes never touch the
-    /// marshaler, and crossing latency hides behind driver computation.
-    pub fn kernel_user_async_shmring() -> Self {
-        ChannelConfig {
-            shmring: true,
-            ..ChannelConfig::kernel_user_async()
-        }
-    }
-
-    /// A same-process C↔Java channel (driver library ↔ decaf driver).
-    pub fn cross_language_only() -> Self {
-        ChannelConfig {
-            domain_crossing: false,
-            ..ChannelConfig::kernel_user()
         }
     }
 }
@@ -177,7 +130,7 @@ pub struct ChannelStats {
     pub bytes_out: u64,
     /// Handler panics caught.
     pub faults: u64,
-    /// Calls parked in the transport queue instead of crossing alone.
+    /// Calls parked in the deferral queue instead of crossing alone.
     pub deferred_calls: u64,
     /// Deferred calls executed by flushes.
     pub batched_calls: u64,
@@ -335,27 +288,24 @@ struct DeadlineWakeup {
     shard: Option<usize>,
 }
 
-/// A two-ended XPC channel: stub layer plus a pluggable transport.
+/// A two-ended XPC channel: the stub layer over one transport kind
+/// (`config.transport`) and, on the queueing kinds, its deferral queue.
 pub struct XpcChannel {
     spec: XdrSpec,
     masks: MaskSet,
     config: ChannelConfig,
-    transport: Box<dyn Transport>,
+    /// Deferred calls; only ever filled when the kind defers.
+    queue: DeferQueue,
     a: DomainEnd,
     b: DomainEnd,
     stats: Cell<ChannelStats>,
-    /// True while a flush on an async transport is pricing its two
-    /// crossings: `charge_transfer` banks the cost instead of charging.
-    launching: Cell<bool>,
-    /// Crossing cost accumulated by the in-progress launch.
-    launch_cost: Cell<u64>,
     /// Launched-but-unharvested batches, in launch order.
     launched: RefCell<VecDeque<LaunchedBatch>>,
     /// Tokens issued and not yet harvested or cancelled.
     outstanding: RefCell<HashSet<u64>>,
     /// Token numbers for calls that resolved synchronously (degraded
     /// mode on a non-async transport, or per-call fallback): a disjoint
-    /// high range so they can never collide with transport-minted ones.
+    /// high range so they can never collide with queue-minted ones.
     next_sync_token: Cell<u64>,
     /// Deadline-wakeup timer, once [`XpcChannel::arm_deadline_wakeups`]
     /// opted this channel in. `None` means the classic behavior: the
@@ -388,16 +338,10 @@ impl XpcChannel {
             spec,
             masks,
             config,
-            transport: transport::build(
-                config.transport,
-                config.batch_capacity,
-                config.batch_deadline_ns,
-            ),
+            queue: DeferQueue::new(config.transport),
             a: DomainEnd::new(a, a.heap_base() + heap_offset),
             b: DomainEnd::new(b, b.heap_base() + heap_offset),
             stats: Cell::new(ChannelStats::default()),
-            launching: Cell::new(false),
-            launch_cost: Cell::new(0),
             launched: RefCell::new(VecDeque::new()),
             outstanding: RefCell::new(HashSet::new()),
             next_sync_token: Cell::new(1 << 63),
@@ -407,20 +351,20 @@ impl XpcChannel {
 
     /// The transport kind this channel crosses with.
     pub fn transport_kind(&self) -> TransportKind {
-        self.transport.kind()
+        self.config.transport
     }
 
-    /// Deferred calls currently parked in the transport queue.
+    /// Deferred calls currently parked in the deferral queue.
     pub fn pending_deferred(&self) -> usize {
-        self.transport.pending()
+        self.queue.len()
     }
 
-    /// Takes every parked deferred call out of the transport *without*
+    /// Takes every parked deferred call out of the queue *without*
     /// executing it — the fault-recovery hook a sharded facade uses to
     /// requeue a dead shard's in-flight calls after resetting its user
     /// end. The calls are returned in defer order.
     pub fn take_deferred(&self) -> Vec<DeferredCall> {
-        self.transport.drain()
+        self.queue.drain()
     }
 
     fn end(&self, domain: Domain) -> XpcResult<&DomainEnd> {
@@ -543,7 +487,7 @@ impl XpcChannel {
         *e.tracker.borrow_mut() = ObjectTracker::new();
         e.delta.borrow_mut().clear();
         self.peer(domain)?.delta.borrow_mut().clear();
-        let cancelled = self.transport.retain(&|c| c.from != domain);
+        let cancelled = self.queue.retain(|c| c.from != domain);
         self.cancel_tokens(&cancelled);
         Ok(())
     }
@@ -559,22 +503,33 @@ impl XpcChannel {
         self.peer(domain).map(|e| e.domain)
     }
 
-    fn charge_transfer(&self, kernel: &Kernel, payer: Domain, bytes: usize) {
+    /// Step 4: one one-way control transfer paid by `payer`, carrying
+    /// `bytes` of marshaled data. A `launched` crossing (an async flush)
+    /// is not charged: its latency is returned for the caller to bank
+    /// until harvest. Every other crossing is charged now, returns 0 and
+    /// emits one `xpc.crossing.<kind>` trace instant. The marshal work is
+    /// CPU time spent now and is charged either way.
+    fn charge_transfer(&self, kernel: &Kernel, payer: Domain, bytes: usize, launched: bool) -> u64 {
         self.bump(|s| s.one_way_crossings += 1);
         let class = payer.cpu_class();
-        if self.launching.get() {
-            // An async launch banks the crossing latency for harvest to
-            // settle; the marshal work below is CPU time spent *now* and
-            // is charged regardless.
-            self.launch_cost.set(
-                self.launch_cost.get()
-                    + self.transport.crossing_cost_ns(self.config.domain_crossing),
-            );
+        let kind = self.config.transport;
+        let cost = kind.crossing_cost_ns(self.config.domain_crossing);
+        let banked = if launched {
+            cost
         } else {
-            self.transport
-                .charge_crossing(kernel, class, self.config.domain_crossing);
-        }
+            kernel.charge(class, cost);
+            kernel.trace_instant(
+                "xpc.crossing",
+                kind.name(),
+                &[
+                    ("cost_ns", cost),
+                    ("domain", self.config.domain_crossing as u64),
+                ],
+            );
+            0
+        };
         kernel.charge(class, bytes as u64 * costs::MARSHAL_BYTE_NS);
+        banked
     }
 
     /// XDR wire size of one by-value scalar (RFC 4506: everything packs
@@ -708,7 +663,7 @@ impl XpcChannel {
     /// `args` are object parameters as addresses in the *caller's* heap;
     /// `scalars` travel by value. Returns the handler's scalar result.
     ///
-    /// Any deferred calls parked in the transport flush first, so a
+    /// Any deferred calls parked in the queue flush first, so a
     /// synchronous call always observes the effects of earlier deferred
     /// work (program order is preserved).
     pub fn call(
@@ -724,7 +679,7 @@ impl XpcChannel {
     }
 
     /// The six stub steps, without the flush prologue. Also the fallback
-    /// path for deferred calls whose batch failed to marshal.
+    /// path for deferred calls whose batch failed before dispatch.
     fn call_inner(
         &self,
         kernel: &Kernel,
@@ -733,10 +688,6 @@ impl XpcChannel {
         args: &[Option<CAddr>],
         scalars: &[XdrValue],
     ) -> XpcResult<XdrValue> {
-        debug_assert!(
-            !self.launching.get(),
-            "synchronous call entered while a launch was pricing its crossings"
-        );
         let _span = kernel.trace_span("xpc", "call");
         let caller = self.end(from)?;
         let target = self.peer(from)?;
@@ -752,7 +703,7 @@ impl XpcChannel {
         self.bump(|s| s.bytes_in += (wire_in.len() + scalar_in) as u64);
 
         // Step 4: control transfer.
-        self.charge_transfer(kernel, from, wire_in.len() + scalar_in);
+        self.charge_transfer(kernel, from, wire_in.len() + scalar_in, false);
 
         // Step 5: unmarshal at the target, tracker-aware.
         let arg_type_refs: Vec<&str> = def.arg_types.iter().map(String::as_str).collect();
@@ -789,17 +740,18 @@ impl XpcChannel {
         let scalar_out = Self::scalar_wire_bytes(&ret);
         let wire_out = self.marshal_from(kernel, target, &locals, Direction::Out)?;
         self.bump(|s| s.bytes_out += (wire_out.len() + scalar_out) as u64);
-        self.charge_transfer(kernel, target.domain, wire_out.len() + scalar_out);
+        self.charge_transfer(kernel, target.domain, wire_out.len() + scalar_out, false);
         self.unmarshal_into(kernel, caller, &wire_out, &arg_type_refs, Direction::Out, 0)?;
 
         self.bump(|s| s.round_trips += 1);
         Ok(ret)
     }
 
-    /// Parks a result-free call in the transport's deferred queue (the
+    /// Parks a result-free call in the channel's deferral queue (the
     /// doorbell pattern). On a non-batching transport this degrades to a
     /// synchronous [`XpcChannel::call`] whose result is discarded, so
-    /// drivers use one code path and the transport decides the policy.
+    /// drivers use one code path and the transport kind decides the
+    /// policy.
     ///
     /// Deferred calls execute at the next flush — triggered by queue
     /// capacity, an explicit [`XpcChannel::flush`], or any synchronous
@@ -818,40 +770,25 @@ impl XpcChannel {
         // attributed to this call site.
         let target = self.peer(from)?;
         self.lookup_proc(target, proc)?;
-        let call = DeferredCall {
-            from,
-            proc: proc.to_string(),
-            args: args.to_vec(),
-            scalars: scalars.to_vec(),
-            token: None,
-        };
-        match self.transport.offer(kernel, from.cpu_class(), call) {
-            Ok(maybe_token) => {
-                // On a completion-based transport every deferred call is
-                // token-tracked, whoever enqueued it.
-                if let Some(token) = maybe_token {
-                    self.outstanding.borrow_mut().insert(token.0);
-                    self.bump(|s| s.tokens_issued += 1);
-                }
-                self.bump(|s| s.deferred_calls += 1);
-                if self.transport.flush_due(kernel) {
-                    self.flush(kernel)?;
-                }
-                self.schedule_deadline_wakeup(kernel);
-                Ok(())
-            }
-            Err(call) => self
-                .call(kernel, from, &call.proc, &call.args, &call.scalars)
-                .map(|_| ()),
+        if !self.config.transport.defers() {
+            return self.call(kernel, from, proc, args, scalars).map(|_| ());
         }
+        // On a completion-based transport every deferred call is
+        // token-tracked, whoever enqueued it.
+        if let Some(token) = self.enqueue(kernel, from, proc, args, scalars) {
+            self.issue(token);
+        }
+        self.flush_if_due(kernel)?;
+        self.schedule_deadline_wakeup(kernel);
+        Ok(())
     }
 
     /// Issues a result-free call asynchronously, returning a
     /// [`CompletionToken`] that resolves when the call's launch crossing
     /// is harvested. On a non-async transport the call degrades to the
-    /// transport's own policy (batched deferral or a synchronous call)
-    /// and the token is born resolved — drivers use one code path, the
-    /// transport decides how asynchronous it really is.
+    /// kind's own policy (batched deferral or a synchronous call) and
+    /// the token is born resolved — drivers use one code path, the
+    /// transport kind decides how asynchronous it really is.
     pub fn call_async(
         &self,
         kernel: &Kernel,
@@ -862,50 +799,68 @@ impl XpcChannel {
     ) -> XpcResult<CompletionToken> {
         let target = self.peer(from)?;
         self.lookup_proc(target, proc)?;
-        let call = DeferredCall {
-            from,
-            proc: proc.to_string(),
-            args: args.to_vec(),
-            scalars: scalars.to_vec(),
-            token: None,
-        };
-        match self.transport.offer(kernel, from.cpu_class(), call) {
-            Ok(Some(token)) => {
-                self.outstanding.borrow_mut().insert(token.0);
-                self.bump(|s| {
-                    s.deferred_calls += 1;
-                    s.tokens_issued += 1;
-                });
-                if self.transport.flush_due(kernel) {
-                    self.flush(kernel)?;
-                }
-                self.schedule_deadline_wakeup(kernel);
-                Ok(token)
+        if !self.config.transport.defers() {
+            self.call(kernel, from, proc, args, scalars)?;
+            self.bump(|s| {
+                s.tokens_issued += 1;
+                s.tokens_harvested += 1;
+            });
+            return Ok(self.mint_sync_token());
+        }
+        let token = match self.enqueue(kernel, from, proc, args, scalars) {
+            Some(token) => {
+                self.issue(token);
+                token
             }
-            Ok(None) => {
+            None => {
                 // Batched transport: the call is parked but completion is
                 // not tracked — the token resolves with the next flush,
                 // which is synchronous on this transport.
                 self.bump(|s| {
-                    s.deferred_calls += 1;
                     s.tokens_issued += 1;
                     s.tokens_harvested += 1;
                 });
-                if self.transport.flush_due(kernel) {
-                    self.flush(kernel)?;
-                }
-                self.schedule_deadline_wakeup(kernel);
-                Ok(self.mint_sync_token())
+                self.mint_sync_token()
             }
-            Err(call) => {
-                self.call(kernel, from, &call.proc, &call.args, &call.scalars)?;
-                self.bump(|s| {
-                    s.tokens_issued += 1;
-                    s.tokens_harvested += 1;
-                });
-                Ok(self.mint_sync_token())
-            }
-        }
+        };
+        self.flush_if_due(kernel)?;
+        self.schedule_deadline_wakeup(kernel);
+        Ok(token)
+    }
+
+    /// Charges the enqueue and parks a fresh call; returns its token on
+    /// `Async`.
+    fn enqueue(
+        &self,
+        kernel: &Kernel,
+        from: Domain,
+        proc: &str,
+        args: &[Option<CAddr>],
+        scalars: &[XdrValue],
+    ) -> Option<CompletionToken> {
+        self.park(
+            kernel,
+            DeferredCall {
+                from,
+                proc: proc.to_string(),
+                args: args.to_vec(),
+                scalars: scalars.to_vec(),
+                token: None,
+            },
+        )
+    }
+
+    /// Charges the enqueue and parks `call` in the deferral queue.
+    fn park(&self, kernel: &Kernel, call: DeferredCall) -> Option<CompletionToken> {
+        kernel.charge(call.from.cpu_class(), costs::BATCH_ENQUEUE_NS);
+        self.bump(|s| s.deferred_calls += 1);
+        self.queue.push(kernel.now_ns(), call)
+    }
+
+    /// Records a freshly minted token as issued and outstanding.
+    fn issue(&self, token: CompletionToken) {
+        self.outstanding.borrow_mut().insert(token.0);
+        self.bump(|s| s.tokens_issued += 1);
     }
 
     /// A pre-resolved token from the disjoint synchronous range.
@@ -924,21 +879,14 @@ impl XpcChannel {
     pub fn requeue_deferred(&self, kernel: &Kernel, call: DeferredCall) -> XpcResult<()> {
         let target = self.peer(call.from)?;
         self.lookup_proc(target, &call.proc)?;
-        let token = call.token;
-        match self.transport.offer(kernel, call.from.cpu_class(), call) {
-            Ok(_) => {
-                self.bump(|s| s.deferred_calls += 1);
-                self.schedule_deadline_wakeup(kernel);
-                Ok(())
-            }
-            Err(call) => {
-                self.call(kernel, call.from, &call.proc, &call.args, &call.scalars)?;
-                if let Some(t) = token {
-                    self.resolve_tokens(&[t]);
-                }
-                Ok(())
-            }
+        if self.config.transport.defers() {
+            self.park(kernel, call);
+            self.schedule_deadline_wakeup(kernel);
+        } else {
+            self.call(kernel, call.from, &call.proc, &call.args, &call.scalars)?;
+            self.resolve_tokens(call.token.as_slice());
         }
+        Ok(())
     }
 
     /// Marks tokens resolved: removes them from the outstanding set and
@@ -1045,20 +993,20 @@ impl XpcChannel {
         Ok(resolved)
     }
 
-    /// Flushes the deferred queue only if the transport says a flush is
-    /// due — at capacity, or past the adaptive-batching deadline. Poll
-    /// this from timers or scheduling points so low-rate control paths
-    /// do not hold posted writes longer than the coalescing window.
+    /// Flushes the deferred queue only if a flush is due — at capacity,
+    /// or past the adaptive-batching deadline. Poll this from timers or
+    /// scheduling points so low-rate control paths do not hold posted
+    /// writes longer than the coalescing window.
     pub fn flush_if_due(&self, kernel: &Kernel) -> XpcResult<bool> {
-        if self.transport.flush_due(kernel) {
+        if self.queue.flush_due(kernel.now_ns()) {
             self.flush(kernel)?;
             return Ok(true);
         }
         Ok(false)
     }
 
-    /// Opts this channel into timer-driven deadline flushes: whenever a
-    /// queueing transport arms its adaptive-batching deadline, a kernel
+    /// Opts this channel into timer-driven deadline flushes: whenever the
+    /// deferral queue arms its adaptive-batching deadline, a kernel
     /// timer is scheduled so the flush fires *at* the deadline even if
     /// no further call or poll ever arrives.
     ///
@@ -1082,7 +1030,7 @@ impl XpcChannel {
             "xpc.deadline",
             Rc::new(move |k: &Kernel| {
                 let Some(ch) = cb.upgrade() else { return };
-                if ch.transport.pending() == 0 {
+                if ch.queue.is_empty() {
                     // The queue flushed through another path before the
                     // timer fired; nothing to do, nothing to re-arm.
                     return;
@@ -1133,10 +1081,9 @@ impl XpcChannel {
         if kernel.timer_pending(w.timer) {
             return;
         }
-        let Some(oldest) = self.transport.oldest_deferred_at() else {
+        let Some(deadline) = self.queue.deadline_ns() else {
             return;
         };
-        let deadline = oldest + self.config.batch_deadline_ns;
         kernel.timer_arm(w.timer, deadline.saturating_sub(kernel.now_ns()));
     }
 
@@ -1144,22 +1091,17 @@ impl XpcChannel {
     /// calls from the same domain cross together: one round trip, one
     /// shared seen-table, one out-parameter return.
     ///
-    /// A group that fails to marshal as a batch (say, one call's object
-    /// argument was freed between defer and flush) neither takes its
-    /// neighbors down nor surfaces its error on an unrelated later
+    /// A group that fails before any of its handlers ran (say, one call's
+    /// object argument was freed between defer and flush) neither takes
+    /// its neighbors down nor surfaces its error on an unrelated later
     /// synchronous call: the group's calls re-execute one by one, and
     /// individual failures are counted as faults — deferred calls have
-    /// no caller waiting to receive an error.
+    /// no caller waiting to receive an error. A group that fails after
+    /// its handlers ran is never re-executed (see `flush_group`).
     pub fn flush(&self, kernel: &Kernel) -> XpcResult<()> {
         // A flushed handler may defer again; bound the ping-pong.
         for _ in 0..64 {
-            let pending_before = self.transport.pending();
-            let queue = self.transport.drain();
-            debug_assert!(
-                pending_before > 0 || queue.is_empty(),
-                "transport reported pending() == 0 but drained {} calls",
-                queue.len()
-            );
+            let queue = self.queue.drain();
             if queue.is_empty() {
                 return Ok(());
             }
@@ -1171,10 +1113,6 @@ impl XpcChannel {
                     .position(|c| c.from != from)
                     .map_or(queue.len(), |p| i + p);
                 if self.flush_group(kernel, &queue[i..end]).is_err() {
-                    // A failed group launch banks nothing: clear the
-                    // launch bracket and any partially accumulated cost.
-                    self.launching.set(false);
-                    self.launch_cost.set(0);
                     for call in &queue[i..end] {
                         let one = self.call_inner(
                             kernel,
@@ -1192,9 +1130,7 @@ impl XpcChannel {
                         // The per-call fallback is synchronous: the
                         // call's token (fault or not, the call is done)
                         // resolves here.
-                        if let Some(t) = call.token {
-                            self.resolve_tokens(&[t]);
-                        }
+                        self.resolve_tokens(call.token.as_slice());
                     }
                 }
                 i = end;
@@ -1202,7 +1138,7 @@ impl XpcChannel {
         }
         // Handlers kept re-deferring past the bound: surface the broken
         // ordering guarantee instead of silently leaving calls parked.
-        Err(XpcError::FlushDiverged(self.transport.pending()))
+        Err(XpcError::FlushDiverged(self.queue.len()))
     }
 
     /// Executes one same-direction batch of deferred calls as a single
@@ -1210,9 +1146,16 @@ impl XpcChannel {
     /// transport: the two crossing charges are banked against the
     /// batch's tokens and settled at harvest, while the data effects
     /// (unmarshal, dispatch, out-parameter return) land right here.
+    ///
+    /// An `Err` means no handler ran and nothing was banked, so the
+    /// caller may re-execute the group call by call. Once the handlers
+    /// have run, a failure of the return leg (say, a handler released
+    /// its own argument) is contained here instead: it counts one fault,
+    /// charges any banked latency now and resolves the group's tokens —
+    /// re-executing would run every handler twice.
     fn flush_group(&self, kernel: &Kernel, group: &[DeferredCall]) -> XpcResult<()> {
         let _span = kernel.trace_span("xpc", "flush");
-        let launch = self.transport.kind() == TransportKind::Async;
+        let launch = self.config.transport == TransportKind::Async;
         let from = group[0].from;
         let caller = self.end(from)?;
         let target = self.peer(from)?;
@@ -1237,14 +1180,7 @@ impl XpcChannel {
             .sum();
         let wire_in = self.marshal_from(kernel, caller, &all_roots, Direction::In)?;
         self.bump(|s| s.bytes_in += (wire_in.len() + scalar_in) as u64);
-        if launch {
-            self.launching.set(true);
-        }
-        self.charge_transfer(kernel, from, wire_in.len() + scalar_in);
-        // Nested synchronous calls made by the handlers below must price
-        // their own crossings normally — the bracket covers only this
-        // batch's two transfers.
-        self.launching.set(false);
+        let mut cost_ns = self.charge_transfer(kernel, from, wire_in.len() + scalar_in, launch);
 
         let locals = self.unmarshal_into(
             kernel,
@@ -1272,20 +1208,28 @@ impl XpcChannel {
         }
 
         // One return crossing updates every caller-side object.
-        let wire_out = self.marshal_from(kernel, target, &locals, Direction::Out)?;
-        self.bump(|s| s.bytes_out += wire_out.len() as u64);
-        if launch {
-            self.launching.set(true);
+        let returned = self
+            .marshal_from(kernel, target, &locals, Direction::Out)
+            .and_then(|wire_out| {
+                self.bump(|s| s.bytes_out += wire_out.len() as u64);
+                cost_ns += self.charge_transfer(kernel, target.domain, wire_out.len(), launch);
+                self.unmarshal_into(kernel, caller, &wire_out, &all_types, Direction::Out, 0)
+            });
+        let tokens: Vec<CompletionToken> = group.iter().filter_map(|c| c.token).collect();
+        if returned.is_err() {
+            // Nothing will harvest this batch: its banked latency lands
+            // now as wait, and its calls are done.
+            self.bump(|s| s.faults += 1);
+            if cost_ns > 0 {
+                kernel.charge(from.cpu_class(), cost_ns);
+            }
+            self.resolve_tokens(&tokens);
+            return Ok(());
         }
-        self.charge_transfer(kernel, target.domain, wire_out.len());
-        self.launching.set(false);
-        self.unmarshal_into(kernel, caller, &wire_out, &all_types, Direction::Out, 0)?;
 
         if launch {
             // Bank the batch's crossing latency for harvest to settle:
             // elapsed virtual time from here on covers it as overlap.
-            let cost_ns = self.launch_cost.take();
-            let tokens: Vec<CompletionToken> = group.iter().filter_map(|c| c.token).collect();
             kernel.trace_instant(
                 "xpc.batch",
                 "launch",
@@ -1389,6 +1333,7 @@ impl std::fmt::Debug for XpcChannel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transport::{DEFAULT_BATCH_CAPACITY, DEFAULT_BATCH_DEADLINE_NS};
     use decaf_xdr::graph::FieldVal;
     use decaf_xdr::mask::{Access, FieldMask};
 
@@ -1780,20 +1725,10 @@ mod tests {
     #[test]
     fn batched_queue_flushes_at_capacity() {
         let k = Kernel::new();
-        let config = ChannelConfig {
-            batch_capacity: 5,
-            ..ChannelConfig::kernel_user_batched()
-        };
-        let ch = XpcChannel::new(
-            spec(),
-            MaskSet::full(),
-            config,
-            Domain::Nucleus,
-            Domain::Decaf,
-        );
+        let ch = batched_channel();
         register_noop(&ch, "touch");
         let adapter = alloc_adapter(&ch);
-        for _ in 0..config.batch_capacity {
+        for _ in 0..DEFAULT_BATCH_CAPACITY {
             ch.call_deferred(&k, Domain::Nucleus, "touch", &[Some(adapter)], &[])
                 .unwrap();
         }
@@ -1935,19 +1870,9 @@ mod tests {
         // reset drops the dead domain's deferred calls; the survivors'
         // deadline must then be measured from their own defer times, not
         // from the dropped (older) call the shared anchor used to track.
-        const WINDOW: u64 = 50_000;
+        const WINDOW: u64 = DEFAULT_BATCH_DEADLINE_NS;
         let k = Kernel::new();
-        let config = ChannelConfig {
-            batch_deadline_ns: WINDOW,
-            ..ChannelConfig::kernel_user_batched()
-        };
-        let ch = XpcChannel::new(
-            spec(),
-            MaskSet::full(),
-            config,
-            Domain::Nucleus,
-            Domain::Decaf,
-        );
+        let ch = batched_channel();
         register_noop(&ch, "touch");
         ch.register_proc(
             Domain::Nucleus,
@@ -2247,6 +2172,50 @@ mod tests {
     }
 
     #[test]
+    fn failure_after_dispatch_never_reruns_the_group() {
+        // Regression: a flush whose return leg failed after the handlers
+        // ran used to fall back to per-call execution, running every
+        // handler of the group a second time. Here the handler releases
+        // its own argument, so marshaling the out-parameters back hits a
+        // dangling address.
+        for ch in [batched_channel(), async_channel()] {
+            let k = Kernel::new();
+            let ran = Rc::new(Cell::new(0u32));
+            let r = Rc::clone(&ran);
+            ch.register_proc(
+                Domain::Decaf,
+                ProcDef {
+                    name: "release_self".into(),
+                    arg_types: vec!["adapter".into()],
+                    handler: Rc::new(move |_, ch, args, _| {
+                        r.set(r.get() + 1);
+                        ch.release_object(Domain::Decaf, args[0].unwrap()).unwrap();
+                        XdrValue::Void
+                    }),
+                },
+            )
+            .unwrap();
+            let adapter = alloc_adapter(&ch);
+            ch.call_async(&k, Domain::Nucleus, "release_self", &[Some(adapter)], &[])
+                .unwrap();
+            ch.flush(&k).unwrap();
+            ch.harvest(&k);
+            let kind = ch.transport_kind();
+            assert_eq!(ran.get(), 1, "{kind:?}: the handler ran exactly once");
+            let s = ch.stats();
+            assert_eq!(s.faults, 1, "{kind:?}: the failed return counts one fault");
+            assert_eq!(s.tokens_issued, 1);
+            assert_eq!(
+                s.tokens_issued,
+                s.tokens_harvested + s.tokens_cancelled,
+                "{kind:?}: token ledger closes"
+            );
+            assert_eq!(ch.tokens_outstanding(), 0);
+            assert_eq!(ch.pending_deferred(), 0);
+        }
+    }
+
+    #[test]
     fn async_busy_time_never_exceeds_batched() {
         // The acceptance property in miniature: the same deferred
         // workload, paced identically, costs no more busy time on async
@@ -2290,18 +2259,9 @@ mod tests {
         // nothing evaluates `flush_if_due` and the call waits forever.
         // With wakeups armed, a kernel timer fires *at* the deadline and
         // flushes from a work item — no manual polling below.
-        const WINDOW: u64 = 50_000;
+        const WINDOW: u64 = DEFAULT_BATCH_DEADLINE_NS;
         let k = Kernel::new();
-        let ch = Rc::new(XpcChannel::new(
-            spec(),
-            MaskSet::full(),
-            ChannelConfig {
-                batch_deadline_ns: WINDOW,
-                ..ChannelConfig::kernel_user_batched()
-            },
-            Domain::Nucleus,
-            Domain::Decaf,
-        ));
+        let ch = Rc::new(batched_channel());
         let ran = Rc::new(Cell::new(0u32));
         let r = Rc::clone(&ran);
         ch.register_proc(
@@ -2336,18 +2296,9 @@ mod tests {
         // `call_async` whose caller went to do other work. The timer
         // launches the batch at the deadline; the token resolves after a
         // harvest without the caller ever re-entering the channel.
-        const WINDOW: u64 = 50_000;
+        const WINDOW: u64 = DEFAULT_BATCH_DEADLINE_NS;
         let k = Kernel::new();
-        let ch = Rc::new(XpcChannel::new(
-            spec(),
-            MaskSet::full(),
-            ChannelConfig {
-                batch_deadline_ns: WINDOW,
-                ..ChannelConfig::kernel_user_async()
-            },
-            Domain::Nucleus,
-            Domain::Decaf,
-        ));
+        let ch = Rc::new(async_channel());
         let ran = Rc::new(Cell::new(0u32));
         let r = Rc::clone(&ran);
         ch.register_proc(

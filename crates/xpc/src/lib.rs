@@ -5,8 +5,8 @@
 //! protection domains with five services (paper §2.3):
 //!
 //! 1. **Control transfer** — procedure-call semantics across the
-//!    kernel/user boundary (block and wait), behind the pluggable
-//!    [`transport::Transport`] trait: thread reuse, dedicated-thread
+//!    kernel/user boundary (block and wait), with one of four
+//!    [`transport::TransportKind`]s: thread reuse, dedicated-thread
 //!    handoff, deferred-call batching that flushes many calls in one
 //!    crossing, or completion-based async launches whose crossing cost is
 //!    banked against a [`transport::CompletionToken`] and settled — net of
@@ -82,7 +82,5 @@ pub use runtime::{DecafRuntime, NuclearRuntime};
 pub use shard::{ShardPolicy, ShardedChannel, MAX_SHARDS, SHARD_HEAP_STRIDE};
 pub use shardurb::ShardedUrbPath;
 pub use tracker::{ObjectTracker, TrackerStats};
-pub use transport::{
-    Async, Batched, CompletionToken, DeferredCall, InProc, Threaded, Transport, TransportKind,
-};
+pub use transport::{CompletionToken, DeferredCall, TransportKind};
 pub use urbpath::{UrbDataPath, UrbEnd, UrbPathStats, UrbReclaim};

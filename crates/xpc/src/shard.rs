@@ -571,10 +571,8 @@ mod tests {
         XdrSpec::parse("struct st { int id; int value; };").unwrap()
     }
 
-    /// Coalescing window used by the deadline-sensitive tests below,
-    /// configured explicitly instead of reaching into transport
-    /// defaults.
-    const WINDOW: u64 = 80_000;
+    /// Coalescing window of the deadline-sensitive tests below.
+    const WINDOW: u64 = crate::transport::DEFAULT_BATCH_DEADLINE_NS;
 
     fn sharded_with(n: usize, policy: ShardPolicy, config: ChannelConfig) -> Rc<ShardedChannel> {
         let sc = ShardedChannel::new(
@@ -608,14 +606,7 @@ mod tests {
     }
 
     fn sharded(n: usize, policy: ShardPolicy) -> Rc<ShardedChannel> {
-        sharded_with(
-            n,
-            policy,
-            ChannelConfig {
-                batch_deadline_ns: WINDOW,
-                ..ChannelConfig::kernel_user_batched()
-            },
-        )
+        sharded_with(n, policy, ChannelConfig::kernel_user_batched())
     }
 
     #[test]

@@ -334,7 +334,7 @@ mod tests {
         ShardedChannel::new(
             XdrSpec::parse("struct unused { int x; };").unwrap(),
             MaskSet::full(),
-            ChannelConfig::kernel_user_shmring(),
+            ChannelConfig::kernel_user_batched(),
             Domain::Nucleus,
             Domain::Decaf,
             shards,

@@ -499,7 +499,7 @@ mod tests {
         Rc::new(XpcChannel::new(
             XdrSpec::parse("struct unused { int x; };").unwrap(),
             MaskSet::full(),
-            ChannelConfig::kernel_user_shmring(),
+            ChannelConfig::kernel_user_batched(),
             Domain::Nucleus,
             Domain::Decaf,
         ))

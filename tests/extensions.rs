@@ -273,7 +273,7 @@ fn batched_delta_transport_beats_seed_inproc_path() {
 }
 
 /// All five decaf driver builds run their control paths over the batched
-/// transport (the `Transport` trait's third implementation), and their
+/// transport (`TransportKind::Batched`), and their
 /// initialization actually exercises it: every build defers at least one
 /// posted register write into a batched flush.
 #[test]
