@@ -1548,7 +1548,7 @@ pub fn storage_shard_run(
         k.violations()
     );
     let shards_used = (0..shards)
-        .filter(|&i| drv.urb_path.set().shard_stats(i).submitted > 0)
+        .filter(|&i| drv.urb_path.set().shard_stats(i).posted > 0)
         .count();
     if shards > 1 {
         assert!(
@@ -1966,7 +1966,7 @@ pub enum RxMode {
     Interrupt,
     /// Budgeted poll receive: a periodic [`RX_POLL_TICK_NS`] tick probes
     /// the ring with
-    /// [`DataPathEnd::poll_and_reclaim`](decaf_xpc::DataPathEnd::poll_and_reclaim)
+    /// [`RingEnd::poll_and_reclaim`](decaf_xpc::RingEnd::poll_and_reclaim)
     /// under [`RX_POLL_BUDGET`].
     Poll,
 }

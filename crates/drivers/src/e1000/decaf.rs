@@ -350,6 +350,7 @@ pub fn install_sharded(kernel: &Kernel, ifname: &str, shards: usize) -> KResult<
     // Decaf-side drains, one pair per shard, each charged to its shard.
     for (i, (tx_path, rx_path)) in tx_paths.iter().zip(&rx_paths).enumerate() {
         let end = tx_path.end(Domain::Decaf);
+        let pool = Rc::clone(&pool);
         let hw_drain = Rc::clone(&hw);
         let inflight_drain = Rc::clone(&inflight);
         let set = Rc::clone(&tx_set);
@@ -366,7 +367,6 @@ pub fn install_sharded(kernel: &Kernel, ifname: &str, shards: usize) -> KResult<
                             if drained.is_empty() {
                                 return XdrValue::Int(0);
                             }
-                            let pool = end.pool().expect("tx path owns a pool");
                             let mut queued = 0;
                             for d in &drained {
                                 let off = pool.offset_of(d.buf).expect("live pool handle");

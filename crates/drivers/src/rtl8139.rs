@@ -658,13 +658,14 @@ fn build_datapath(
 ) -> decaf_xpc::XpcResult<ShmDataPath> {
     // The 8139 has exactly four 2 KiB transmit buffers; the pool wraps
     // them so ring descriptors point straight at hardware memory.
+    let tx_pool = Rc::new(BufPool::new(hw.dma.clone(), TX_BUF_OFF, 2048, 4));
     let tx = DataPathChannel::new(
         Rc::clone(channel),
         Domain::Nucleus,
         "rtl8139_tx_drain",
         Rc::new(ShmRing::new("8139-tx", 8)),
         Rc::new(ShmRing::new("8139-tx-done", 16)),
-        Some(Rc::new(BufPool::new(hw.dma.clone(), TX_BUF_OFF, 2048, 4))),
+        Some(Rc::clone(&tx_pool)),
         DoorbellPolicy::with_watermark(TX_DOORBELL_WATERMARK),
     )?;
     // RX descriptors carry raw ring offsets in their cookies (the 8139's
@@ -695,9 +696,8 @@ fn build_datapath(
                 arg_types: vec![],
                 handler: Rc::new(move |k, _, _, _| {
                     let mut n = 0;
-                    let pool = end.pool().expect("tx path owns a pool");
                     while let Some(d) = end.consume_one(k) {
-                        let off = pool.offset_of(d.buf).expect("live pool handle");
+                        let off = tx_pool.offset_of(d.buf).expect("live pool handle");
                         match hw.xmit_desc(k, off, d.len as usize) {
                             Ok(()) => {
                                 inflight.borrow_mut().push_back(d);

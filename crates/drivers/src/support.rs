@@ -299,7 +299,7 @@ pub fn install_open_loop_storage(
         shards,
         ShardPolicy::FlowHash,
     );
-    let set = UrbRingSet::new(
+    let set = UrbRingSet::with_pool(
         "olurb",
         shards,
         depth,

@@ -896,7 +896,7 @@ pub fn install_sharded(kernel: &Kernel, hcd: &str, shards: usize) -> KResult<Sha
         hwreg::SECTOR_SIZE,
         SECTOR_POOL_SECTORS,
     ));
-    let set = UrbRingSet::new("uhci-urb", shards, URB_RING_DEPTH, 2 * URB_RING_DEPTH, pool);
+    let set = UrbRingSet::with_pool("uhci-urb", shards, URB_RING_DEPTH, 2 * URB_RING_DEPTH, pool);
     let urb_path = ShardedUrbPath::new(
         Rc::clone(&channels),
         Domain::Nucleus,
@@ -928,7 +928,7 @@ pub fn install_sharded(kernel: &Kernel, hcd: &str, shards: usize) -> KResult<Sha
                             let _span = k.trace_span("urb", "drain");
                             let mut n = 0;
                             for d in end.consume(k) {
-                                let segs = end.pool().sg_segments(d.buf).expect("live chain");
+                                let segs = set.pool().sg_segments(d.buf).expect("live chain");
                                 let (status, actual) =
                                     hw_drain.submit_sg(k, d.endpoint, &segs, d.len as usize);
                                 set.complete(k, CpuClass::User, d.completed(status, actual))
@@ -1392,7 +1392,7 @@ mod tests {
         );
         // LUN steering actually spread the queues.
         let used = (0..4)
-            .filter(|&i| drv.urb_path.set().shard_stats(i).submitted > 0)
+            .filter(|&i| drv.urb_path.set().shard_stats(i).posted > 0)
             .count();
         assert!(used >= 2, "all LUN traffic collapsed onto {used} shard(s)");
         assert!(drv.urb_path.conserved(), "per-shard URB conservation");

@@ -41,21 +41,19 @@
 //!   oldest post has waited longer than a coalescing deadline
 //!   ([`decaf_simkernel::costs::DOORBELL_COALESCE_NS`]), so low-rate
 //!   paths are not held hostage by batching.
-//! * [`RingSet`] — RSS-style multi-queue: N per-shard descriptor rings
-//!   and completion rings behind one object, with deterministic flow
-//!   steering and a completion-steering policy that routes the IRQ-side
-//!   handback to the shard that posted the descriptor.
-//! * [`UrbRingSet`] — the storage-shaped multi-queue: N per-shard URB
-//!   submit/giveback ring *pairs* over one shared [`SectorPool`], with
-//!   per-LUN steering (a storage transaction's FIFO order is
-//!   load-bearing, so one LUN stays on one shard) and per-shard
-//!   conservation counters.
+//! * [`RingSet`] — RSS-style multi-queue for any [`Slot`] type: N
+//!   per-shard descriptor rings and completion rings (TX/completion for
+//!   frames, submit/giveback for URBs) over one shared payload pool,
+//!   with deterministic flow (or per-LUN) steering, a completion-steering
+//!   policy that routes the handback to the shard that posted the
+//!   descriptor, and per-shard conservation counters. [`UrbRingSet`]
+//!   names the storage instantiation over a [`SectorPool`].
 //!
-//! The XPC layer builds its data-path channels on these pieces
-//! (`DataPathChannel` for NIC streams, `UrbDataPath` for storage
-//! request/response): the descriptors ride the rings, the doorbell rides
-//! the existing transport crossing, and the payload bytes never see the
-//! XDR marshaler.
+//! The XPC layer builds its data paths on these pieces (one doorbell
+//! producer core, specialized as `DataPathChannel` for NIC streams and
+//! `UrbDataPath` for storage request/response): the descriptors ride
+//! the rings, the doorbell rides the existing transport crossing, and
+//! the payload bytes never see the XDR marshaler.
 //!
 //! # Example: one frame, zero marshaled payload bytes
 //!
@@ -111,12 +109,10 @@ pub mod ring;
 pub mod ringset;
 pub mod sector;
 pub mod urb;
-pub mod urbset;
 
 pub use doorbell::DoorbellPolicy;
 pub use pool::{BufHandle, BufPool, PoolError, PoolStats};
 pub use ring::{Descriptor, RingError, RingStats, ShmRing, SlotOwner};
-pub use ringset::{flow_hash, RingSet, RingSetError, RingSetStats};
+pub use ringset::{flow_hash, RingSet, RingSetError, RingSetStats, Slot, UrbRingSet};
 pub use sector::{SectorPool, SectorPoolStats, SgHandle, SgSegment};
 pub use urb::{UrbDescriptor, XferDir};
-pub use urbset::{UrbRingSet, UrbShardStats};

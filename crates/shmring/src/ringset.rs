@@ -1,35 +1,95 @@
 //! Multi-queue ring sets: RSS-style per-shard descriptor rings with a
-//! completion-steering policy.
+//! completion-steering policy, for any descriptor shape.
 //!
 //! One [`crate::ShmRing`] per direction is enough for one producer and
 //! one consumer. Scaling the user-level data path across CPUs needs N
 //! parallel rings feeding one device — per-CPU (or per-flow) TX/RX
-//! queues, exactly the receive-side-scaling shape real NICs expose. A
+//! queues for a NIC, per-LUN submit/giveback queues for storage. A
 //! [`RingSet`] groups N descriptor rings and their N completion rings
-//! behind one object and adds the two policies sharding requires:
+//! behind one object, generic over the [`Slot`] type they carry (a frame
+//! [`Descriptor`] or a [`UrbDescriptor`]), and adds the two policies
+//! sharding requires:
 //!
-//! * **flow steering** ([`RingSet::steer`]) — a deterministic hash maps
-//!   a flow key to a shard, so one flow's descriptors stay on one ring
-//!   (ordering within the flow is preserved; different flows spread);
-//! * **completion steering** ([`RingSet::complete`]) — the IRQ side
+//! * **steering** ([`RingSet::steer`]) — a deterministic hash maps a
+//!   flow key (a NIC flow, a storage LUN) to a shard, so one flow's
+//!   descriptors stay FIFO on one ring while different flows spread. For
+//!   storage the FIFO order is load-bearing: a transaction is a sequence
+//!   of URBs (stage command, then data transfer);
+//! * **completion steering** ([`RingSet::complete`]) — the completer
 //!   hands a finished descriptor back *to the shard that posted it*,
 //!   looked up from the cookie recorded at post time. Completions must
 //!   come home: a buffer freed on the wrong shard's ring would corrupt
-//!   that shard's pool accounting and break descriptor conservation.
+//!   that shard's accounting and break per-shard conservation.
 //!
-//! The set keeps conservation counters: every descriptor noted as
-//! posted is either still in flight or has been completed, and
-//! completions are always steered to the posting shard. The
-//! `tests/shard_sched.rs` interleaving harness asserts these invariants
-//! over enumerated schedules.
+//! Every shard allocates out of one shared payload pool `P` (the pool is
+//! carved from the device's DMA region, and the device is singular), so
+//! pool conservation is a cross-shard invariant while descriptor
+//! conservation is tracked **per shard**: every descriptor noted as
+//! posted on a shard is either still in flight there or has been
+//! completed home. The `tests/shard_sched.rs` and `tests/storage_sched.rs`
+//! harnesses assert these invariants over enumerated schedules.
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 
 use decaf_simkernel::{CpuClass, Kernel};
 
 use crate::ring::{Descriptor, RingError, ShmRing};
+use crate::sector::SectorPool;
+use crate::urb::UrbDescriptor;
+
+/// Oracle-sensitivity seam for the storage fault-exploration harness
+/// (`tests/storage_sched.rs`): a one-shot, thread-local switch that
+/// plants a *deliberate* completion-steering bug so the harness can
+/// prove its differential oracle rejects one. Debug-build only
+/// (`debug_assertions`) — `#[cfg(test)]` would not reach an
+/// integration-test dependency build of this crate, and the release
+/// build the ablations measure must not carry the seam.
+#[cfg(debug_assertions)]
+pub mod mutation {
+    use std::cell::Cell;
+
+    thread_local! {
+        static DOUBLE_COMPLETE: Cell<bool> = const { Cell::new(false) };
+    }
+
+    /// Arms the planted bug: the next [`super::RingSet::complete`] on
+    /// this thread pushes the completed descriptor onto the home ring
+    /// *twice* — the producer must drop the duplicate as a rejected
+    /// completion, and the fault oracle must flag that it had to.
+    pub fn arm_double_complete() {
+        DOUBLE_COMPLETE.with(|c| c.set(true));
+    }
+
+    /// Disarms without consuming (cleanup after a caught failure).
+    pub fn disarm() {
+        DOUBLE_COMPLETE.with(|c| c.set(false));
+    }
+
+    pub(crate) fn take_double_complete() -> bool {
+        DOUBLE_COMPLETE.with(|c| c.replace(false))
+    }
+}
+
+/// A descriptor a [`RingSet`] can steer: plain ring data that carries
+/// the producer's correlation cookie.
+pub trait Slot: Copy + Default {
+    /// The cookie identifying this descriptor while it is in flight.
+    fn cookie(&self) -> u64;
+}
+
+impl Slot for Descriptor {
+    fn cookie(&self) -> u64 {
+        self.cookie
+    }
+}
+
+impl Slot for UrbDescriptor {
+    fn cookie(&self) -> u64 {
+        self.cookie
+    }
+}
 
 /// Failure modes specific to multi-queue steering.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,10 +121,11 @@ impl std::fmt::Display for RingSetError {
 
 impl std::error::Error for RingSetError {}
 
-/// Conservation counters for one ring set.
+/// Conservation counters of one shard (or, from [`RingSet::stats`], of
+/// the whole set).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct RingSetStats {
-    /// Descriptors noted as posted across all shards.
+    /// Descriptors noted as posted.
     pub posted: u64,
     /// Descriptors completed (steered home).
     pub completed: u64,
@@ -81,29 +142,79 @@ pub fn flow_hash(key: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// N parallel descriptor rings plus their completion rings, with flow
-/// and completion steering.
+/// The storage ring set: URB submit/giveback ring pairs over one shared
+/// sector pool.
+pub type UrbRingSet = RingSet<UrbDescriptor, Rc<SectorPool>>;
+
+/// One noted post: where it went, and the shard's high-water mark
+/// before the note (restored on cancel).
+#[derive(Debug, Clone, Copy)]
+struct Noted {
+    shard: usize,
+    hwm_before: u64,
+}
+
+/// N parallel descriptor rings plus their completion rings over one
+/// shared payload pool `P`, with flow and completion steering.
 ///
 /// Cookie discipline: a cookie identifies one in-flight descriptor. The
 /// same cookie may be reused only after its previous incarnation has
 /// been completed (device RX slots naturally satisfy this: a slot is
-/// recycled only after its completion comes home).
+/// recycled only after its completion comes home; the uhci build draws
+/// URB cookies from one monotonic sequence).
 #[derive(Debug)]
-pub struct RingSet {
-    rings: Vec<Rc<ShmRing>>,
-    completions: Vec<Rc<ShmRing>>,
-    /// Posting shard of every in-flight cookie.
-    origin: RefCell<HashMap<u64, usize>>,
-    stats: Cell<RingSetStats>,
+pub struct RingSet<D: Slot = Descriptor, P = ()> {
+    rings: Vec<Rc<ShmRing<D>>>,
+    completions: Vec<Rc<ShmRing<D>>>,
+    pool: P,
+    /// Posting shard of every in-flight cookie, plus the shard's
+    /// in-flight high-water mark *before* the note — what
+    /// [`RingSet::cancel_post`] restores when the post the note
+    /// announced never happened.
+    origin: RefCell<HashMap<u64, Noted>>,
+    shard_stats: RefCell<Vec<RingSetStats>>,
+    /// In-flight count per shard (denormalized from `origin` so the
+    /// per-shard conservation check is O(1)).
+    in_flight: RefCell<Vec<u64>>,
 }
 
-impl RingSet {
-    /// Builds `shards` descriptor rings of `capacity` slots (named
-    /// `{name}-{i}`) and completion rings of `completion_capacity`.
+impl<D: Slot> RingSet<D> {
+    /// Builds a set without a shared pool (descriptors name buffers the
+    /// producer owns elsewhere); see [`RingSet::with_pool`].
     ///
     /// # Panics
     /// Panics if `shards` is zero.
     pub fn new(name: &str, shards: usize, capacity: usize, completion_capacity: usize) -> Rc<Self> {
+        Self::with_pool(name, shards, capacity, completion_capacity, ())
+    }
+}
+
+impl UrbRingSet {
+    /// Shard `i`'s submit ring (requests, submitter → completer).
+    pub fn submit_ring(&self, shard: usize) -> &Rc<ShmRing<UrbDescriptor>> {
+        self.ring(shard)
+    }
+
+    /// Shard `i`'s giveback ring (completions, completer → submitter).
+    pub fn giveback_ring(&self, shard: usize) -> &Rc<ShmRing<UrbDescriptor>> {
+        self.completions(shard)
+    }
+}
+
+impl<D: Slot, P> RingSet<D, P> {
+    /// Builds `shards` descriptor rings of `capacity` slots (named
+    /// `{name}-{i}`) and completion rings of `completion_capacity`
+    /// (named `{name}-done-{i}`), all allocating out of `pool`.
+    ///
+    /// # Panics
+    /// Panics if `shards` is zero.
+    pub fn with_pool(
+        name: &str,
+        shards: usize,
+        capacity: usize,
+        completion_capacity: usize,
+        pool: P,
+    ) -> Rc<Self> {
         assert!(shards > 0, "a ring set needs at least one shard");
         Rc::new(RingSet {
             rings: (0..shards)
@@ -117,8 +228,10 @@ impl RingSet {
                     ))
                 })
                 .collect(),
+            pool,
             origin: RefCell::new(HashMap::new()),
-            stats: Cell::new(RingSetStats::default()),
+            shard_stats: RefCell::new(vec![RingSetStats::default(); shards]),
+            in_flight: RefCell::new(vec![0; shards]),
         })
     }
 
@@ -127,42 +240,72 @@ impl RingSet {
         self.rings.len()
     }
 
-    /// Shard `i`'s descriptor ring.
-    pub fn ring(&self, shard: usize) -> &Rc<ShmRing> {
+    /// The shared payload pool all shards allocate from.
+    pub fn pool(&self) -> &P {
+        &self.pool
+    }
+
+    /// Shard `i`'s descriptor ring (producer → consumer).
+    pub fn ring(&self, shard: usize) -> &Rc<ShmRing<D>> {
         &self.rings[shard]
     }
 
-    /// Shard `i`'s completion ring.
-    pub fn completions(&self, shard: usize) -> &Rc<ShmRing> {
+    /// Shard `i`'s completion ring (consumer → producer).
+    pub fn completions(&self, shard: usize) -> &Rc<ShmRing<D>> {
         &self.completions[shard]
     }
 
-    /// Maps a flow key to its shard. Deterministic: the same flow always
-    /// lands on the same ring, so per-flow ordering is preserved.
+    /// Maps a flow key (or LUN) to its shard. Deterministic: the same
+    /// flow always lands on the same ring, so per-flow ordering is
+    /// preserved.
     pub fn steer(&self, flow: u64) -> usize {
         (flow_hash(flow) % self.rings.len() as u64) as usize
     }
 
     /// Records that `cookie` was posted on `shard` without touching the
-    /// ring — for producers that post through a higher-level path (e.g. a
-    /// `DataPathChannel` holding the same ring `Rc`).
+    /// ring — for producers that post through a higher-level path (a
+    /// data path holding the same ring `Rc`). Note first,
+    /// [`RingSet::cancel_post`] if the post never happens: a
+    /// synchronously-triggered consumer must be able to steer the
+    /// completion home.
     pub fn note_post(&self, shard: usize, cookie: u64) {
         debug_assert!(shard < self.rings.len());
-        self.origin.borrow_mut().insert(cookie, shard);
-        let in_flight = self.origin.borrow().len() as u64;
-        self.bump(|s| {
-            s.posted += 1;
-            s.in_flight_hwm = s.in_flight_hwm.max(in_flight);
-        });
+        let mut inf = self.in_flight.borrow_mut();
+        inf[shard] += 1;
+        let now = inf[shard];
+        drop(inf);
+        let mut stats = self.shard_stats.borrow_mut();
+        stats[shard].posted += 1;
+        self.origin.borrow_mut().insert(
+            cookie,
+            Noted {
+                shard,
+                hwm_before: stats[shard].in_flight_hwm,
+            },
+        );
+        stats[shard].in_flight_hwm = stats[shard].in_flight_hwm.max(now);
     }
 
-    /// Cancels an origin record whose post failed after being noted
-    /// (producer-side unwind: note first so a synchronously-triggered
-    /// consumer can steer completions, cancel if the post never
-    /// happened). Conservation treats the descriptor as never posted.
+    /// Cancels an origin record whose post failed after being noted.
+    /// Conservation treats the descriptor as never posted, and the
+    /// high-water mark is restored: a refused descriptor was never in
+    /// flight, so a backpressured burst must not report a peak the ring
+    /// could not even hold. The cancel must immediately follow its
+    /// failed note (with at most completions in between — a forced
+    /// doorbell's drain only ever *lowers* in-flight), which is the only
+    /// way the note/cancel pair is used. Cancelling an unknown or
+    /// already-completed cookie is a no-op.
     pub fn cancel_post(&self, cookie: u64) {
-        if self.origin.borrow_mut().remove(&cookie).is_some() {
-            self.bump(|s| s.posted -= 1);
+        if let Some(noted) = self.origin.borrow_mut().remove(&cookie) {
+            let mut inf = self.in_flight.borrow_mut();
+            inf[noted.shard] -= 1;
+            let now = inf[noted.shard];
+            drop(inf);
+            let mut stats = self.shard_stats.borrow_mut();
+            stats[noted.shard].posted -= 1;
+            stats[noted.shard].in_flight_hwm = stats[noted.shard]
+                .in_flight_hwm
+                .min(noted.hwm_before.max(now));
         }
     }
 
@@ -173,11 +316,11 @@ impl RingSet {
         kernel: &Kernel,
         class: CpuClass,
         shard: usize,
-        desc: Descriptor,
+        desc: D,
     ) -> Result<(), RingSetError> {
         match self.rings[shard].push(kernel, class, desc) {
             Ok(()) => {
-                self.note_post(shard, desc.cookie);
+                self.note_post(shard, desc.cookie());
                 kernel.trace_instant(
                     "ring",
                     "post",
@@ -199,18 +342,27 @@ impl RingSet {
         &self,
         kernel: &Kernel,
         class: CpuClass,
-        desc: Descriptor,
+        desc: D,
     ) -> Result<usize, RingSetError> {
+        let cookie = desc.cookie();
         let shard = {
             let origin = self.origin.borrow();
-            *origin
-                .get(&desc.cookie)
-                .ok_or(RingSetError::UnknownOrigin(desc.cookie))?
+            origin
+                .get(&cookie)
+                .ok_or(RingSetError::UnknownOrigin(cookie))?
+                .shard
         };
         match self.completions[shard].push(kernel, class, desc) {
             Ok(()) => {
-                self.origin.borrow_mut().remove(&desc.cookie);
-                self.bump(|s| s.completed += 1);
+                #[cfg(debug_assertions)]
+                if mutation::take_double_complete() {
+                    // Planted bug (oracle-sensitivity harness): the same
+                    // completion lands on the home ring twice.
+                    let _ = self.completions[shard].push(kernel, class, desc);
+                }
+                self.origin.borrow_mut().remove(&cookie);
+                self.in_flight.borrow_mut()[shard] -= 1;
+                self.shard_stats.borrow_mut()[shard].completed += 1;
                 kernel.trace_instant("ring", "complete", &[("shard", shard as u64)]);
                 Ok(shard)
             }
@@ -219,8 +371,8 @@ impl RingSet {
     }
 
     /// Drains `shard`'s completion ring (the producer reclaiming its
-    /// handed-back descriptors).
-    pub fn reclaim(&self, kernel: &Kernel, class: CpuClass, shard: usize) -> Vec<Descriptor> {
+    /// handed-back descriptors, oldest first).
+    pub fn reclaim(&self, kernel: &Kernel, class: CpuClass, shard: usize) -> Vec<D> {
         let done = self.completions[shard].drain(kernel, class);
         if !done.is_empty() {
             kernel.trace_instant(
@@ -232,160 +384,330 @@ impl RingSet {
         done
     }
 
-    /// Descriptors posted but not yet completed.
+    /// Descriptors posted but not yet completed, across all shards.
     pub fn in_flight(&self) -> usize {
         self.origin.borrow().len()
     }
 
-    /// The posting shard of an in-flight cookie.
-    pub fn origin_of(&self, cookie: u64) -> Option<usize> {
-        self.origin.borrow().get(&cookie).copied()
+    /// One shard's conservation counters.
+    pub fn shard_stats(&self, shard: usize) -> RingSetStats {
+        self.shard_stats.borrow()[shard]
     }
 
-    /// Counter snapshot.
+    /// Merged counters: sums across shards, max for the high-water mark.
     pub fn stats(&self) -> RingSetStats {
-        self.stats.get()
+        let mut total = RingSetStats::default();
+        for s in self.shard_stats.borrow().iter() {
+            total.posted += s.posted;
+            total.completed += s.completed;
+            total.in_flight_hwm = total.in_flight_hwm.max(s.in_flight_hwm);
+        }
+        total
     }
 
-    /// The conservation invariant: every descriptor ever noted as posted
-    /// is either completed or still in flight — none lost, none
-    /// double-completed.
+    /// Per-shard conservation: every descriptor ever posted on `shard`
+    /// is either completed (home) or still in flight there.
+    pub fn shard_conserved(&self, shard: usize) -> bool {
+        let s = self.shard_stats.borrow()[shard];
+        s.posted == s.completed + self.in_flight.borrow()[shard]
+    }
+
+    /// The full conservation invariant: every shard conserves — none
+    /// lost, none double-completed — and the origin map agrees with the
+    /// denormalized per-shard counts.
     pub fn conserved(&self) -> bool {
-        let s = self.stats.get();
-        s.posted == s.completed + self.in_flight() as u64
-    }
-
-    fn bump(&self, f: impl FnOnce(&mut RingSetStats)) {
-        let mut s = self.stats.get();
-        f(&mut s);
-        self.stats.set(s);
+        let per_shard_sum: u64 = self.in_flight.borrow().iter().sum();
+        per_shard_sum == self.origin.borrow().len() as u64
+            && (0..self.shards()).all(|i| self.shard_conserved(i))
     }
 }
 
 #[cfg(test)]
 mod tests {
+    //! One table over both slot types: every test runs its body for
+    //! frame [`Descriptor`]s (no pool) and for [`UrbDescriptor`]s over a
+    //! shared [`SectorPool`].
+
     use super::*;
     use crate::pool::BufHandle;
 
-    fn desc(cookie: u64) -> Descriptor {
-        Descriptor {
-            buf: BufHandle(cookie as u32),
-            len: 64,
-            cookie,
+    /// What the table needs from a slot type beyond [`Slot`]: a pool to
+    /// lend payload from, a descriptor per cookie, and the completer's
+    /// response.
+    trait Fixture: Slot + PartialEq + std::fmt::Debug {
+        type Pool;
+        fn pool() -> Self::Pool;
+        /// A request for `cookie`, holding whatever payload `pool` lends.
+        fn desc(pool: &Self::Pool, cookie: u64) -> Self;
+        /// The completer's response to this request.
+        fn done(self) -> Self;
+        /// Hands a reclaimed descriptor's payload back to `pool`.
+        fn release(pool: &Self::Pool, d: Self);
+        /// Every payload is back in `pool`.
+        fn pool_idle(pool: &Self::Pool) -> bool;
+    }
+
+    impl Fixture for Descriptor {
+        type Pool = ();
+        fn pool() {}
+        fn desc(_: &(), cookie: u64) -> Self {
+            Descriptor {
+                buf: BufHandle(cookie as u32),
+                len: 64,
+                cookie,
+            }
+        }
+        fn done(self) -> Self {
+            self
+        }
+        fn release(_: &(), _: Self) {}
+        fn pool_idle(_: &()) -> bool {
+            true
+        }
+    }
+
+    impl Fixture for UrbDescriptor {
+        type Pool = Rc<SectorPool>;
+        fn pool() -> Rc<SectorPool> {
+            Rc::new(SectorPool::with_capacity(512, 32))
+        }
+        fn desc(pool: &Rc<SectorPool>, cookie: u64) -> Self {
+            UrbDescriptor::request_out(pool.alloc_sg(512).unwrap(), 512, 2, cookie)
+        }
+        fn done(self) -> Self {
+            self.completed(0, self.len)
+        }
+        fn release(pool: &Rc<SectorPool>, d: Self) {
+            pool.free_sg(d.buf).unwrap();
+        }
+        fn pool_idle(pool: &Rc<SectorPool>) -> bool {
+            pool.conserved() && pool.in_use_sectors() == 0
+        }
+    }
+
+    type Set<D> = Rc<RingSet<D, <D as Fixture>::Pool>>;
+
+    fn set<D: Fixture>(shards: usize, capacity: usize, completion: usize) -> Set<D> {
+        RingSet::with_pool("tx", shards, capacity, completion, D::pool())
+    }
+
+    fn post<D: Fixture>(k: &Kernel, s: &Set<D>, shard: usize, cookie: u64) {
+        s.post(k, CpuClass::Kernel, shard, D::desc(s.pool(), cookie))
+            .unwrap();
+    }
+
+    /// The consumer drains `shard`'s ring and completes everything home.
+    fn complete_all<D: Fixture>(k: &Kernel, s: &Set<D>, shard: usize) {
+        for d in s.ring(shard).drain(k, CpuClass::User) {
+            s.complete(k, CpuClass::User, d.done()).unwrap();
         }
     }
 
     #[test]
     fn flow_steering_is_deterministic_and_spreads() {
-        let set = RingSet::new("tx", 4, 8, 16);
-        let mut hits = [0u32; 4];
-        for flow in 0..256u64 {
-            let a = set.steer(flow);
-            let b = set.steer(flow);
-            assert_eq!(a, b, "same flow, same shard");
-            hits[a] += 1;
+        fn run<D: Fixture>() {
+            let s = set::<D>(4, 8, 16);
+            let mut hits = [0u32; 4];
+            for flow in 0..256u64 {
+                let a = s.steer(flow);
+                assert_eq!(a, s.steer(flow), "same flow, same shard");
+                hits[a] += 1;
+            }
+            for (shard, h) in hits.iter().enumerate() {
+                assert!(*h > 32, "shard {shard} starved: {hits:?}");
+            }
         }
-        for (shard, h) in hits.iter().enumerate() {
-            assert!(*h > 32, "shard {shard} starved: {hits:?}");
-        }
+        run::<Descriptor>();
+        run::<UrbDescriptor>();
     }
 
     #[test]
     fn completions_steer_to_the_posting_shard() {
-        let k = Kernel::new();
-        let set = RingSet::new("tx", 3, 8, 16);
-        for cookie in 0..9u64 {
-            let shard = set.steer(cookie);
-            set.post(&k, CpuClass::Kernel, shard, desc(cookie)).unwrap();
-        }
-        // A consumer drains every ring (order immaterial), completing
-        // each descriptor; the completion must come home.
-        for shard in 0..3 {
-            for d in set.ring(shard).drain(&k, CpuClass::User) {
-                let home = set.complete(&k, CpuClass::User, d).unwrap();
-                assert_eq!(home, shard, "cookie {} steered astray", d.cookie);
+        fn run<D: Fixture>() {
+            let k = Kernel::new();
+            let s = set::<D>(3, 8, 16);
+            for cookie in 0..9u64 {
+                post(&k, &s, s.steer(cookie), cookie);
             }
-        }
-        for shard in 0..3 {
-            for d in set.reclaim(&k, CpuClass::Kernel, shard) {
-                assert_eq!(set.steer(d.cookie), shard);
+            // A consumer drains every ring in arbitrary order, completing
+            // each descriptor; the completion must come home.
+            for shard in [2, 0, 1] {
+                for d in s.ring(shard).drain(&k, CpuClass::User) {
+                    let home = s.complete(&k, CpuClass::User, d.done()).unwrap();
+                    assert_eq!(home, shard, "cookie {} steered astray", d.cookie());
+                }
             }
+            for shard in 0..3 {
+                for d in s.reclaim(&k, CpuClass::Kernel, shard) {
+                    assert_eq!(s.steer(d.cookie()), shard);
+                    D::release(s.pool(), d);
+                }
+                assert!(s.shard_conserved(shard), "shard {shard}");
+            }
+            assert!(s.conserved());
+            assert_eq!(s.in_flight(), 0);
+            assert_eq!(s.stats().posted, 9);
+            assert_eq!(s.stats().completed, 9);
+            assert!(D::pool_idle(s.pool()), "payload leaked");
         }
-        assert!(set.conserved());
-        assert_eq!(set.in_flight(), 0);
-        assert_eq!(set.stats().posted, 9);
-        assert_eq!(set.stats().completed, 9);
+        run::<Descriptor>();
+        run::<UrbDescriptor>();
     }
 
     #[test]
     fn unknown_origin_rejected() {
-        let k = Kernel::new();
-        let set = RingSet::new("tx", 2, 4, 8);
-        assert_eq!(
-            set.complete(&k, CpuClass::Kernel, desc(7)),
-            Err(RingSetError::UnknownOrigin(7))
-        );
-        // Double completion is also a conservation violation.
-        set.post(&k, CpuClass::Kernel, 0, desc(1)).unwrap();
-        set.ring(0).drain(&k, CpuClass::User);
-        set.complete(&k, CpuClass::User, desc(1)).unwrap();
-        assert_eq!(
-            set.complete(&k, CpuClass::User, desc(1)),
-            Err(RingSetError::UnknownOrigin(1))
-        );
-        assert!(set.conserved());
+        fn run<D: Fixture>() {
+            let k = Kernel::new();
+            let s = set::<D>(2, 4, 8);
+            let d = D::desc(s.pool(), 7);
+            assert_eq!(
+                s.complete(&k, CpuClass::User, d),
+                Err(RingSetError::UnknownOrigin(7))
+            );
+            // Double completion is also a conservation violation.
+            s.post(&k, CpuClass::Kernel, 1, d).unwrap();
+            s.ring(1).drain(&k, CpuClass::User);
+            assert_eq!(s.complete(&k, CpuClass::User, d).unwrap(), 1);
+            assert_eq!(
+                s.complete(&k, CpuClass::User, d),
+                Err(RingSetError::UnknownOrigin(7))
+            );
+            assert!(s.conserved());
+        }
+        run::<Descriptor>();
+        run::<UrbDescriptor>();
     }
 
     #[test]
     fn cookie_reuse_after_completion_is_legal() {
         // RX slots recycle their cookies once the completion came home.
-        let k = Kernel::new();
-        let set = RingSet::new("rx", 2, 4, 8);
-        for round in 0..3 {
-            set.post(&k, CpuClass::Kernel, 1, desc(5)).unwrap();
-            set.ring(1).drain(&k, CpuClass::User);
-            assert_eq!(set.complete(&k, CpuClass::User, desc(5)).unwrap(), 1);
-            assert_eq!(
-                set.reclaim(&k, CpuClass::Kernel, 1).len(),
-                1,
-                "round {round}"
-            );
+        fn run<D: Fixture>() {
+            let k = Kernel::new();
+            let s = set::<D>(2, 4, 8);
+            for round in 0..3 {
+                post(&k, &s, 1, 5);
+                complete_all(&k, &s, 1);
+                let done = s.reclaim(&k, CpuClass::Kernel, 1);
+                assert_eq!(done.len(), 1, "round {round}");
+                D::release(s.pool(), done[0]);
+            }
+            assert_eq!(s.stats().posted, 3);
+            assert!(s.conserved());
         }
-        assert_eq!(set.stats().posted, 3);
-        assert!(set.conserved());
+        run::<Descriptor>();
+        run::<UrbDescriptor>();
     }
 
     #[test]
     fn cancel_post_unwinds_a_noted_origin() {
-        let k = Kernel::new();
-        let set = RingSet::new("tx", 2, 4, 8);
-        // note-first producer pattern: the post never happens.
-        set.note_post(1, 9);
-        assert_eq!(set.in_flight(), 1);
-        set.cancel_post(9);
-        assert_eq!(set.in_flight(), 0);
-        assert_eq!(set.stats().posted, 0);
-        assert!(set.conserved());
-        // Cancelling an already-completed (or unknown) cookie is a no-op.
-        set.post(&k, CpuClass::Kernel, 0, desc(1)).unwrap();
-        set.ring(0).drain(&k, CpuClass::User);
-        set.complete(&k, CpuClass::User, desc(1)).unwrap();
-        set.cancel_post(1);
-        assert_eq!(set.stats().posted, 1);
-        assert!(set.conserved());
+        fn run<D: Fixture>() {
+            let k = Kernel::new();
+            let s = set::<D>(2, 4, 8);
+            // Note-first producer pattern: the post never happens.
+            s.note_post(1, 9);
+            assert_eq!(s.in_flight(), 1);
+            assert_eq!(s.shard_stats(1).posted, 1);
+            assert!(s.shard_conserved(1), "the note is in flight on shard 1");
+            s.cancel_post(9);
+            assert_eq!(s.in_flight(), 0);
+            assert_eq!(s.shard_stats(1).posted, 0);
+            assert_eq!(s.stats().posted, 0);
+            assert!(s.conserved());
+            // Cancelling an unknown or already-completed cookie is a no-op.
+            s.cancel_post(99);
+            post(&k, &s, 0, 1);
+            complete_all(&k, &s, 0);
+            s.cancel_post(1);
+            assert_eq!(s.stats().posted, 1);
+            assert!(s.conserved());
+        }
+        run::<Descriptor>();
+        run::<UrbDescriptor>();
+    }
+
+    #[test]
+    fn cancelled_post_does_not_inflate_the_high_water_mark() {
+        // A note-then-cancel (the refused-send / staged-backpressure
+        // unwind) must not leave the HWM reporting a peak that never
+        // held a real descriptor — and must not erase a peak that
+        // legitimately happened earlier.
+        fn run<D: Fixture>() {
+            let name = std::any::type_name::<D>();
+            let k = Kernel::new();
+            let s = set::<D>(2, 4, 8);
+            // Refused post on an idle set: nothing was ever in flight.
+            s.note_post(1, 9);
+            s.cancel_post(9);
+            assert_eq!(
+                s.stats().in_flight_hwm,
+                0,
+                "{name}: phantom peak on idle set"
+            );
+            post(&k, &s, 0, 0);
+            post(&k, &s, 0, 1);
+            assert_eq!(s.shard_stats(0).in_flight_hwm, 2);
+            // Refused post: noted, then cancelled.
+            s.note_post(0, 2);
+            s.cancel_post(2);
+            assert_eq!(s.shard_stats(0).in_flight_hwm, 2, "{name}: phantom peak");
+            // Drain to zero, then another refused post: the old peak of 2
+            // must survive the restore.
+            complete_all(&k, &s, 0);
+            assert_eq!(s.in_flight(), 0);
+            assert!(s.shard_conserved(0));
+            s.note_post(0, 3);
+            s.cancel_post(3);
+            assert_eq!(s.shard_stats(0).in_flight_hwm, 2, "{name}: peak erased");
+            assert!(s.conserved());
+        }
+        run::<Descriptor>();
+        run::<UrbDescriptor>();
+    }
+
+    #[test]
+    fn per_shard_counters_track_their_own_queues() {
+        fn run<D: Fixture>() {
+            let k = Kernel::new();
+            let s = set::<D>(2, 8, 16);
+            post(&k, &s, 0, 0);
+            post(&k, &s, 0, 1);
+            post(&k, &s, 1, 2);
+            assert_eq!(s.shard_stats(0).posted, 2);
+            assert_eq!(s.shard_stats(1).posted, 1);
+            // Conserved with nothing completed: both of shard 0's
+            // descriptors are in flight there.
+            assert!(s.shard_conserved(0));
+            assert_eq!(s.shard_stats(0).completed, 0);
+            assert_eq!(s.stats().in_flight_hwm, 2, "HWM is a max, not a sum");
+            complete_all(&k, &s, 0);
+            assert!(s.shard_conserved(0));
+            assert!(s.shard_conserved(1));
+            assert_eq!(s.shard_stats(0).completed, 2);
+            assert_eq!(s.shard_stats(1).completed, 0);
+            assert_eq!(s.in_flight(), 1);
+            assert!(s.conserved());
+        }
+        run::<Descriptor>();
+        run::<UrbDescriptor>();
     }
 
     #[test]
     fn full_shard_ring_applies_backpressure() {
-        let k = Kernel::new();
-        let set = RingSet::new("tx", 2, 1, 2);
-        set.post(&k, CpuClass::Kernel, 0, desc(0)).unwrap();
-        assert_eq!(
-            set.post(&k, CpuClass::Kernel, 0, desc(1)),
-            Err(RingSetError::RingFull(0))
-        );
-        // The refused post must not count toward conservation.
-        assert_eq!(set.stats().posted, 1);
-        assert!(set.conserved());
+        fn run<D: Fixture>() {
+            let k = Kernel::new();
+            let s = set::<D>(2, 1, 2);
+            post(&k, &s, 0, 0);
+            let refused = D::desc(s.pool(), 1);
+            assert_eq!(
+                s.post(&k, CpuClass::Kernel, 0, refused),
+                Err(RingSetError::RingFull(0))
+            );
+            // The refused post must not count toward conservation.
+            assert_eq!(s.stats().posted, 1);
+            assert_eq!(s.in_flight(), 1);
+            assert!(s.conserved());
+        }
+        run::<Descriptor>();
+        run::<UrbDescriptor>();
     }
 }

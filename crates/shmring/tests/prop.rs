@@ -301,7 +301,7 @@ proptest! {
     ) {
         let k = Kernel::new();
         let pool = Rc::new(SectorPool::with_capacity(64, 64));
-        let set = UrbRingSet::new("prop", shards, 64, 128, pool);
+        let set = UrbRingSet::with_pool("prop", shards, 64, 128, pool);
         let mut submitted_by: HashMap<u64, usize> = HashMap::new();
         let mut next_cookie = 0u64;
         let mut reclaimed = vec![0u64; shards];
@@ -322,7 +322,7 @@ proptest! {
                                 UrbDescriptor::request_out(run, 64, 2, cookie),
                             )
                             .unwrap();
-                        set.note_submit(shard, cookie);
+                        set.note_post(shard, cookie);
                         submitted_by.insert(cookie, shard);
                     }
                 }
@@ -362,10 +362,10 @@ proptest! {
         prop_assert_eq!(set.in_flight(), 0);
         for (shard, &count) in reclaimed.iter().enumerate() {
             prop_assert!(set.shard_conserved(shard), "shard {} not conserved", shard);
-            prop_assert_eq!(count, set.shard_stats(shard).submitted);
+            prop_assert_eq!(count, set.shard_stats(shard).posted);
             prop_assert_eq!(
                 set.shard_stats(shard).completed,
-                set.shard_stats(shard).submitted
+                set.shard_stats(shard).posted
             );
         }
         prop_assert!(set.pool().conserved());

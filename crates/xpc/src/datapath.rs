@@ -1,23 +1,31 @@
-//! The shared-memory data-path channel: descriptors ride pinned rings,
+//! The shared-memory data path: descriptors ride pinned rings,
 //! doorbells ride the control transport, payload bytes never touch the
 //! XDR marshaler.
 //!
-//! A [`DataPathChannel`] pairs an [`XpcChannel`] with the
-//! [`decaf_shmring`] subsystem:
+//! A [`RingProducer`] pairs an [`XpcChannel`] with a descriptor ring and
+//! its completion ring from [`decaf_shmring`], whatever the descriptor
+//! shape:
 //!
 //! * the **producer** (normally the nucleus: the network stack's
-//!   transmit path, or the interrupt handler posting received frames)
-//!   writes payloads into the shared [`BufPool`] — the one audited CPU
-//!   copy — and posts 16-byte [`Descriptor`]s into the [`ShmRing`];
+//!   transmit path, the interrupt handler posting received frames, the
+//!   USB core submitting URBs) stages the payload in a shared pool — the
+//!   one audited CPU copy for frames, a zero-copy page adoption for
+//!   sector chains — and posts a descriptor into the ring;
 //! * the **doorbell** is an ordinary XPC call with *zero object
 //!   arguments*: one crossing, priced by the channel's transport, that
-//!   tells the consumer "descriptors await". A [`DoorbellPolicy`] coalesces
-//!   it — ring at a watermark occupancy, or once the oldest post has
-//!   waited out the coalescing deadline;
-//! * the **consumer** (the decaf driver's drain handler) pops
-//!   descriptors — paying cache-line pulls, not per-byte marshal — and
-//!   hands them back through a **completion ring**, so buffer ownership
-//!   round-trips without a single payload byte crossing by value.
+//!   tells the consumer "descriptors await". A [`DoorbellPolicy`]
+//!   coalesces it — ring at a watermark occupancy, or once the oldest
+//!   post has waited out the coalescing deadline;
+//! * the **consumer** (the decaf driver's drain handler, through a
+//!   [`RingEnd`]) pops descriptors — paying cache-line pulls, not
+//!   per-byte marshal — and hands them back through the **completion
+//!   ring**, so buffer ownership round-trips without a single payload
+//!   byte crossing by value.
+//!
+//! The producer core is written once; each device class adds only its
+//! payload side `P`. [`DataPathChannel`] is the NIC stream over an
+//! optional frame [`BufPool`]; [`crate::UrbDataPath`] is the storage
+//! request/response path over a sector pool.
 //!
 //! This is the mechanism that makes hosting the *data* path at user
 //! level affordable: the per-packet boundary cost collapses from
@@ -35,47 +43,45 @@ use crate::endpoint::XpcChannel;
 use crate::error::{XpcError, XpcResult};
 use crate::transport::TransportKind;
 
-/// Producer-side handle: posts descriptors, coalesces doorbells,
-/// reclaims completed buffers.
-pub struct DataPathChannel {
+/// The producer half of one descriptor data path: posts descriptors,
+/// coalesces doorbells. `D` is the ring's slot type; `P` is what the
+/// device class adds on top (its payload pool and ledger).
+pub struct RingProducer<D: Copy + Default, P> {
     channel: Rc<XpcChannel>,
-    producer: Domain,
-    consumer: Domain,
-    ring: Rc<ShmRing>,
-    completions: Rc<ShmRing>,
-    pool: Option<Rc<BufPool>>,
+    pub(crate) producer: Domain,
+    ring: Rc<ShmRing<D>>,
+    completions: Rc<ShmRing<D>>,
     policy: DoorbellPolicy,
     doorbell_proc: String,
+    pub(crate) payload: P,
 }
 
-impl DataPathChannel {
+/// The NIC data path: frame descriptors over an optional shared
+/// [`BufPool`].
+pub type DataPathChannel = RingProducer<Descriptor, Option<Rc<BufPool>>>;
+
+impl<D: Copy + Default, P> RingProducer<D, P> {
     /// Builds a data path whose descriptors flow `producer` → peer and
     /// whose doorbell invokes `doorbell_proc` (which must be registered
     /// at the peer end of `channel`).
-    ///
-    /// `pool` is the payload buffer pool for [`DataPathChannel::send`];
-    /// pass `None` when descriptors reference buffers owned elsewhere
-    /// (e.g. device receive slots) and are posted with
-    /// [`DataPathChannel::post`].
-    pub fn new(
+    pub(crate) fn build(
         channel: Rc<XpcChannel>,
         producer: Domain,
         doorbell_proc: impl Into<String>,
-        ring: Rc<ShmRing>,
-        completions: Rc<ShmRing>,
-        pool: Option<Rc<BufPool>>,
+        ring: Rc<ShmRing<D>>,
+        completions: Rc<ShmRing<D>>,
+        payload: P,
         policy: DoorbellPolicy,
     ) -> XpcResult<Rc<Self>> {
-        let consumer = channel.peer_domain(producer)?;
-        Ok(Rc::new(DataPathChannel {
+        channel.peer_domain(producer)?;
+        Ok(Rc::new(RingProducer {
             channel,
             producer,
-            consumer,
             ring,
             completions,
-            pool,
             policy,
             doorbell_proc: doorbell_proc.into(),
+            payload,
         }))
     }
 
@@ -85,18 +91,13 @@ impl DataPathChannel {
     }
 
     /// The descriptor ring (producer → consumer).
-    pub fn ring(&self) -> &Rc<ShmRing> {
+    pub fn ring(&self) -> &Rc<ShmRing<D>> {
         &self.ring
     }
 
     /// The completion ring (consumer → producer).
-    pub fn completions(&self) -> &Rc<ShmRing> {
+    pub fn completions(&self) -> &Rc<ShmRing<D>> {
         &self.completions
-    }
-
-    /// The payload pool, if this path owns one.
-    pub fn pool(&self) -> Option<&Rc<BufPool>> {
-        self.pool.as_ref()
     }
 
     /// Descriptors posted and not yet drained by a doorbell.
@@ -105,97 +106,32 @@ impl DataPathChannel {
     }
 
     /// An end handle for `domain` — what drain handlers and interrupt
-    /// paths capture instead of the whole channel (no reference cycles
+    /// paths capture instead of the whole path (no reference cycles
     /// through registered procedures).
-    pub fn end(&self, domain: Domain) -> DataPathEnd {
-        DataPathEnd {
+    pub fn end(&self, domain: Domain) -> RingEnd<D> {
+        RingEnd {
             ring: Rc::clone(&self.ring),
             completions: Rc::clone(&self.completions),
-            pool: self.pool.clone(),
             domain,
         }
     }
 
-    fn map_pool_err(e: PoolError) -> XpcError {
+    /// A payload-pool refusal, as the backpressure it is.
+    pub(crate) fn map_pool_err(e: PoolError) -> XpcError {
         XpcError::Backpressure(e.to_string())
     }
 
-    /// Sends one payload: allocates a pool buffer, writes the payload
-    /// into shared memory (the single audited copy), posts a descriptor
-    /// and rings the doorbell if the policy says it is due.
-    ///
-    /// On pool exhaustion the channel applies backpressure in stages:
-    /// reclaim completions, force a doorbell so the consumer drains,
-    /// reclaim again — and only then reports [`XpcError::Backpressure`].
-    ///
-    /// An error always means the frame was *not* posted (producers may
-    /// safely retry or unwind); once the descriptor is in the ring the
-    /// send has succeeded, and any fault in the post-send doorbell is
-    /// contained rather than surfaced here.
-    pub fn send(&self, kernel: &Kernel, payload: &[u8], cookie: u64) -> XpcResult<()> {
-        let pool = self
-            .pool
-            .as_ref()
-            .ok_or_else(|| XpcError::Backpressure("data path has no buffer pool".into()))?;
-        self.reclaim_completions(kernel);
-        let handle = match pool.alloc() {
-            Ok(h) => h,
-            Err(PoolError::Exhausted) => {
-                self.ring_doorbell(kernel)?;
-                self.reclaim_completions(kernel);
-                pool.alloc().map_err(Self::map_pool_err)?
-            }
-            Err(e) => return Err(Self::map_pool_err(e)),
-        };
-        // From here the buffer is ours until a descriptor carries it: on
-        // any failure it must go back to the pool, or backpressure would
-        // become permanent pool shrinkage.
-        if let Err(e) = pool.write_payload(kernel, self.producer.cpu_class(), handle, payload) {
-            let _ = pool.free(handle);
-            return Err(Self::map_pool_err(e));
-        }
-        if let Err(e) = self.post(
-            kernel,
-            Descriptor {
-                buf: handle,
-                len: payload.len() as u32,
-                cookie,
-            },
-        ) {
-            let _ = pool.free(handle);
-            return Err(e);
-        }
-        // The frame is committed once its descriptor is posted; an error
-        // from `send` always means "not posted". The doorbell itself is
-        // best-effort: a consumer-side fault during the drain is
-        // contained by the XPC layer (and counted in the channel's fault
-        // stats), the batch stays parked, and the deadline poll retries
-        // the crossing.
-        let _ = self.maybe_ring(kernel);
-        Ok(())
-    }
-
-    /// Posts a raw descriptor without touching the pool or the doorbell.
-    /// Safe from atomic context (no crossing happens); the caller decides
-    /// when to ring — interrupt handlers defer that to a work item.
-    pub fn post(&self, kernel: &Kernel, desc: Descriptor) -> XpcResult<()> {
-        match self.ring.push(kernel, self.producer.cpu_class(), desc) {
-            Ok(()) => {}
-            Err(RingError::Full) => {
-                return Err(XpcError::Backpressure(format!(
-                    "ring `{}` full",
-                    self.ring.name()
-                )))
-            }
-        }
+    /// Pushes one descriptor carrying `bytes` of payload into the ring
+    /// and books the post: arms the doorbell policy, emits the
+    /// `ring.post` instant and bumps the channel's ring counters. Safe
+    /// from atomic context (no crossing happens).
+    pub(crate) fn push(&self, kernel: &Kernel, desc: D, bytes: u64) -> Result<(), RingError> {
+        self.ring.push(kernel, self.producer.cpu_class(), desc)?;
         self.policy.note_post(kernel.now_ns());
         kernel.trace_instant(
             "ring",
             "post",
-            &[
-                ("occupancy", self.ring.len() as u64),
-                ("bytes", desc.len as u64),
-            ],
+            &[("occupancy", self.ring.len() as u64), ("bytes", bytes)],
         );
         let hwm = self.ring.stats().occupancy_hwm;
         self.channel.bump(|s| {
@@ -274,6 +210,113 @@ impl DataPathChannel {
             .rang_with_survivors(kernel.now_ns(), self.ring.len());
         Ok(())
     }
+}
+
+impl<D: Copy + Default, P> std::fmt::Debug for RingProducer<D, P> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("RingProducer")
+            .field("producer", &self.producer)
+            .field("ring", &self.ring.name())
+            .field("pending", &self.ring.len())
+            .finish()
+    }
+}
+
+impl DataPathChannel {
+    /// Builds a NIC data path whose descriptors flow `producer` → peer
+    /// and whose doorbell invokes `doorbell_proc` (which must be
+    /// registered at the peer end of `channel`).
+    ///
+    /// `pool` is the payload buffer pool for [`DataPathChannel::send`];
+    /// pass `None` when descriptors reference buffers owned elsewhere
+    /// (e.g. device receive slots) and are posted with
+    /// [`DataPathChannel::post`].
+    pub fn new(
+        channel: Rc<XpcChannel>,
+        producer: Domain,
+        doorbell_proc: impl Into<String>,
+        ring: Rc<ShmRing>,
+        completions: Rc<ShmRing>,
+        pool: Option<Rc<BufPool>>,
+        policy: DoorbellPolicy,
+    ) -> XpcResult<Rc<Self>> {
+        Self::build(
+            channel,
+            producer,
+            doorbell_proc,
+            ring,
+            completions,
+            pool,
+            policy,
+        )
+    }
+
+    /// The payload pool, if this path owns one.
+    pub fn pool(&self) -> Option<&Rc<BufPool>> {
+        self.payload.as_ref()
+    }
+
+    /// Sends one payload: allocates a pool buffer, writes the payload
+    /// into shared memory (the single audited copy), posts a descriptor
+    /// and rings the doorbell if the policy says it is due.
+    ///
+    /// On pool exhaustion the channel applies backpressure in stages:
+    /// reclaim completions, force a doorbell so the consumer drains,
+    /// reclaim again — and only then reports [`XpcError::Backpressure`].
+    ///
+    /// An error always means the frame was *not* posted (producers may
+    /// safely retry or unwind); once the descriptor is in the ring the
+    /// send has succeeded, and any fault in the post-send doorbell is
+    /// contained rather than surfaced here.
+    pub fn send(&self, kernel: &Kernel, payload: &[u8], cookie: u64) -> XpcResult<()> {
+        let pool = self
+            .pool()
+            .ok_or_else(|| XpcError::Backpressure("data path has no buffer pool".into()))?;
+        self.reclaim_completions(kernel);
+        let handle = match pool.alloc() {
+            Ok(h) => h,
+            Err(PoolError::Exhausted) => {
+                self.ring_doorbell(kernel)?;
+                self.reclaim_completions(kernel);
+                pool.alloc().map_err(Self::map_pool_err)?
+            }
+            Err(e) => return Err(Self::map_pool_err(e)),
+        };
+        // From here the buffer is ours until a descriptor carries it: on
+        // any failure it must go back to the pool, or backpressure would
+        // become permanent pool shrinkage.
+        if let Err(e) = pool.write_payload(kernel, self.producer.cpu_class(), handle, payload) {
+            let _ = pool.free(handle);
+            return Err(Self::map_pool_err(e));
+        }
+        if let Err(e) = self.post(
+            kernel,
+            Descriptor {
+                buf: handle,
+                len: payload.len() as u32,
+                cookie,
+            },
+        ) {
+            let _ = pool.free(handle);
+            return Err(e);
+        }
+        // The frame is committed once its descriptor is posted; an error
+        // from `send` always means "not posted". The doorbell itself is
+        // best-effort: a consumer-side fault during the drain is
+        // contained by the XPC layer (and counted in the channel's fault
+        // stats), the batch stays parked, and the deadline poll retries
+        // the crossing.
+        let _ = self.maybe_ring(kernel);
+        Ok(())
+    }
+
+    /// Posts a raw descriptor without touching the pool or the doorbell.
+    /// Safe from atomic context (no crossing happens); the caller decides
+    /// when to ring — interrupt handlers defer that to a work item.
+    pub fn post(&self, kernel: &Kernel, desc: Descriptor) -> XpcResult<()> {
+        self.push(kernel, desc, desc.len as u64)
+            .map_err(|_| XpcError::Backpressure(format!("ring `{}` full", self.ring.name())))
+    }
 
     /// Producer-side poll hook (call from a timer's work item): reclaims
     /// completions and rings the doorbell if the coalescing deadline has
@@ -295,7 +338,7 @@ impl DataPathChannel {
         if !done.is_empty() {
             kernel.trace_instant("ring", "reclaim", &[("completions", done.len() as u64)]);
         }
-        if let Some(pool) = &self.pool {
+        if let Some(pool) = self.pool() {
             for d in &done {
                 // A handle the pool rejects belongs to the driver (raw
                 // descriptor); the driver reclaims it via the cookie.
@@ -306,47 +349,34 @@ impl DataPathChannel {
     }
 }
 
-impl std::fmt::Debug for DataPathChannel {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("DataPathChannel")
-            .field("producer", &self.producer)
-            .field("consumer", &self.consumer)
-            .field("ring", &self.ring.name())
-            .field("pending", &self.ring.len())
-            .finish()
-    }
-}
-
 /// One end's view of the shared rings: just `Rc`s to pinned memory, so
 /// drain handlers can capture it without creating a reference cycle
-/// through the channel's procedure table.
+/// through the channel's procedure table. Handlers that read payloads
+/// capture the pool's `Rc` alongside it.
 #[derive(Clone)]
-pub struct DataPathEnd {
-    ring: Rc<ShmRing>,
-    completions: Rc<ShmRing>,
-    pool: Option<Rc<BufPool>>,
+pub struct RingEnd<D: Copy + Default> {
+    ring: Rc<ShmRing<D>>,
+    completions: Rc<ShmRing<D>>,
     domain: Domain,
 }
 
-impl DataPathEnd {
-    /// The payload pool, if the path owns one.
-    pub fn pool(&self) -> Option<&Rc<BufPool>> {
-        self.pool.as_ref()
-    }
-
-    /// Pops every posted descriptor (consumer side of the main ring),
-    /// charging this end's CPU class per cache-line pull.
-    pub fn consume(&self, kernel: &Kernel) -> Vec<Descriptor> {
+impl<D: Copy + Default> RingEnd<D> {
+    /// Pops every posted descriptor, oldest first (consumer side of the
+    /// main ring), charging this end's CPU class per cache-line pull.
+    /// FIFO order is what keeps multi-URB transactions (command, then
+    /// data stage) correct.
+    pub fn consume(&self, kernel: &Kernel) -> Vec<D> {
         self.ring.drain(kernel, self.domain.cpu_class())
     }
 
     /// Pops one posted descriptor.
-    pub fn consume_one(&self, kernel: &Kernel) -> Option<Descriptor> {
+    pub fn consume_one(&self, kernel: &Kernel) -> Option<D> {
         self.ring.pop(kernel, self.domain.cpu_class())
     }
 
-    /// Hands a finished descriptor back through the completion ring.
-    pub fn complete(&self, kernel: &Kernel, desc: Descriptor) -> XpcResult<()> {
+    /// Hands a finished descriptor (for URBs, with its response fields
+    /// filled in) back through the completion ring.
+    pub fn complete(&self, kernel: &Kernel, desc: D) -> XpcResult<()> {
         self.completions
             .push(kernel, self.domain.cpu_class(), desc)
             .map_err(|_| {
@@ -363,7 +393,7 @@ impl DataPathEnd {
     /// entry, no doorbell crossing — the consumer pays a steady spin tax
     /// instead, which wins once the offered rate is high enough that
     /// probes rarely miss (the interrupt-vs-poll crossover).
-    pub fn poll_and_reclaim(&self, kernel: &Kernel, budget: usize) -> Vec<Descriptor> {
+    pub fn poll_and_reclaim(&self, kernel: &Kernel, budget: usize) -> Vec<D> {
         let mut got = Vec::new();
         let mut probes = 0u64;
         for _ in 0..budget {
@@ -406,7 +436,9 @@ mod tests {
 
     /// A consumer that drains on the doorbell, records payloads, and
     /// completes every descriptor.
-    fn register_drain(ch: &Rc<XpcChannel>, end: DataPathEnd, seen: SeenPayloads) {
+    fn register_drain(ch: &Rc<XpcChannel>, dp: &DataPathChannel, seen: SeenPayloads) {
+        let end = dp.end(Domain::Decaf);
+        let pool = Rc::clone(dp.pool().expect("pool-backed path"));
         ch.register_proc(
             Domain::Decaf,
             ProcDef {
@@ -414,7 +446,6 @@ mod tests {
                 arg_types: vec![],
                 handler: Rc::new(move |k, _, _, _| {
                     for d in end.consume(k) {
-                        let pool = end.pool().expect("pool-backed path");
                         seen.borrow_mut()
                             .push(pool.read_payload(d.buf, d.len as usize).unwrap());
                         end.complete(k, d).unwrap();
@@ -440,7 +471,7 @@ mod tests {
         )
         .unwrap();
         let seen = Rc::new(RefCell::new(Vec::new()));
-        register_drain(&ch, dp.end(Domain::Decaf), Rc::clone(&seen));
+        register_drain(&ch, &dp, Rc::clone(&seen));
         (k, dp, seen)
     }
 
@@ -503,7 +534,7 @@ mod tests {
         )
         .unwrap();
         let seen = Rc::new(RefCell::new(Vec::new()));
-        register_drain(&ch, dp.end(Domain::Decaf), Rc::clone(&seen));
+        register_drain(&ch, &dp, Rc::clone(&seen));
         // The third send finds the pool exhausted, forces a doorbell (the
         // consumer drains and completes), reclaims, and proceeds.
         for i in 0..6u64 {
@@ -581,7 +612,7 @@ mod tests {
         )
         .unwrap();
         let seen = Rc::new(RefCell::new(Vec::new()));
-        register_drain(&ch, dp.end(Domain::Decaf), Rc::clone(&seen));
+        register_drain(&ch, &dp, Rc::clone(&seen));
         for i in 0..8u64 {
             dp.send(&k, &[0xa5; 600], i).unwrap();
         }

@@ -24,16 +24,19 @@
 //!    §3.1.1 (tracker translation, marshal, transfer, unmarshal, dispatch,
 //!    out-parameter return).
 //!
-//! On top of these, [`datapath::DataPathChannel`] adds a *zero-copy data
-//! path*: payloads live in a pinned shared-memory buffer pool, 16-byte
-//! descriptors ride single-producer/single-consumer rings, and a
+//! On top of these, [`datapath::RingProducer`] adds a *zero-copy data
+//! path*, written once for every descriptor shape: payloads live in a
+//! pinned shared-memory pool, descriptors ride
+//! single-producer/single-consumer rings, and a
 //! watermark/deadline-coalesced doorbell rides the control transport —
 //! so hosting the packet hot path at user level stops costing per-byte
-//! marshaling. [`urbpath::UrbDataPath`] is its request/response sibling
-//! for storage: URB submit descriptors flow one way, completions carry
-//! status, actual length and the payload run's *ownership* back the
-//! other — the mechanism that lets a `tar` stream ride the rings just
-//! like netperf does.
+//! marshaling. [`datapath::DataPathChannel`] specializes it for NIC
+//! frames; [`urbpath::UrbDataPath`] for storage request/response: URB
+//! submit descriptors flow one way, completions carry status, actual
+//! length and the payload run's *ownership* back the other — the
+//! mechanism that lets a `tar` stream ride the rings just like netperf
+//! does. Consumers on either kind drain through one
+//! [`datapath::RingEnd`].
 //!
 //! [`shard::ShardedChannel`] scales both layers out: N parallel channels
 //! (per-CPU or per-flow) behind one facade, each with its own transport
@@ -41,10 +44,11 @@
 //! shared objects, flow-hash steering for data-path traffic, stats that
 //! aggregate across shards, and per-shard fault recovery.
 //! [`shardurb::ShardedUrbPath`] rides that facade for storage: one URB
-//! data path per shard over a [`decaf_shmring::UrbRingSet`], steered per
-//! LUN (a storage transaction's FIFO order is load-bearing), with
-//! per-shard staged backpressure and completion steering back to the
-//! submitting shard.
+//! data path per shard over one [`decaf_shmring::RingSet`] of URB
+//! descriptors (the same ring set the NIC shards use), steered per LUN
+//! (a storage transaction's FIFO order is load-bearing), with per-shard
+//! staged backpressure and completion steering back to the submitting
+//! shard.
 //!
 //! Domains are [`domain::Domain::Nucleus`] (kernel),
 //! [`domain::Domain::Library`] (user-level C) and
@@ -74,7 +78,7 @@ pub use admission::{
     TrafficClass,
 };
 pub use combolock::{ComboStats, Combolock};
-pub use datapath::{DataPathChannel, DataPathEnd};
+pub use datapath::{DataPathChannel, RingEnd, RingProducer};
 pub use domain::Domain;
 pub use endpoint::{ChannelConfig, ChannelStats, ProcDef, SharedObject, XpcChannel};
 pub use error::{XpcError, XpcResult};
@@ -83,4 +87,4 @@ pub use shard::{ShardPolicy, ShardedChannel, MAX_SHARDS, SHARD_HEAP_STRIDE};
 pub use shardurb::ShardedUrbPath;
 pub use tracker::{ObjectTracker, TrackerStats};
 pub use transport::{CompletionToken, DeferredCall, TransportKind};
-pub use urbpath::{UrbDataPath, UrbEnd, UrbPathStats, UrbReclaim};
+pub use urbpath::{UrbDataPath, UrbLedger, UrbPathStats, UrbReclaim};

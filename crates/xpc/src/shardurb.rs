@@ -146,7 +146,7 @@ impl ShardedUrbPath {
     }
 
     /// Shard `i`'s data path (the completer builds its
-    /// [`crate::UrbEnd`] from here).
+    /// [`crate::RingEnd`] from here).
     pub fn path(&self, shard: usize) -> &Rc<UrbDataPath> {
         &self.paths[shard]
     }
@@ -182,11 +182,11 @@ impl ShardedUrbPath {
             // Note first: a watermark doorbell inside submit_out runs
             // the completer synchronously, and it must already be able
             // to steer this URB's giveback home.
-            self.set.note_submit(shard, cookie);
+            self.set.note_post(shard, cookie);
             match self.paths[shard].submit_out(kernel, endpoint, payload, cookie) {
                 Ok(()) => Ok(shard),
                 Err(e) => {
-                    self.set.cancel_submit(cookie);
+                    self.set.cancel_post(cookie);
                     Err(e)
                 }
             }
@@ -209,11 +209,11 @@ impl ShardedUrbPath {
         let shard = self.steer(lun);
         kernel.shard_scope(shard, || {
             kernel.trace_instant("shard", "steer", &[("shard", shard as u64), ("lun", lun)]);
-            self.set.note_submit(shard, cookie);
+            self.set.note_post(shard, cookie);
             match self.paths[shard].submit_in(kernel, endpoint, expected_len, cookie) {
                 Ok(()) => Ok(shard),
                 Err(e) => {
-                    self.set.cancel_submit(cookie);
+                    self.set.cancel_post(cookie);
                     Err(e)
                 }
             }
@@ -243,7 +243,7 @@ impl ShardedUrbPath {
         let mut rang = 0;
         let mut first_err = None;
         for (i, path) in self.paths.iter().enumerate() {
-            match kernel.shard_scope(i, || path.poll(kernel)) {
+            match kernel.shard_scope(i, || path.maybe_ring(kernel)) {
                 Ok(true) => rang += 1,
                 Ok(false) => {}
                 Err(e) => {
@@ -380,7 +380,7 @@ mod tests {
     ) -> (Kernel, Rc<ShardedChannel>, Rc<ShardedUrbPath>) {
         let k = Kernel::new();
         let sc = facade(shards);
-        let set = UrbRingSet::new(
+        let set = UrbRingSet::with_pool(
             "urb",
             shards,
             depth,
@@ -397,7 +397,8 @@ mod tests {
     #[test]
     fn shard_count_mismatch_is_refused() {
         let sc = facade(2);
-        let set = UrbRingSet::new("urb", 3, 8, 16, Rc::new(SectorPool::with_capacity(512, 8)));
+        let set =
+            UrbRingSet::with_pool("urb", 3, 8, 16, Rc::new(SectorPool::with_capacity(512, 8)));
         let err = ShardedUrbPath::new(sc, Domain::Nucleus, "urb_drain", set, 4).unwrap_err();
         assert!(matches!(err, XpcError::ShardConflict(_)), "{err}");
     }
@@ -447,9 +448,9 @@ mod tests {
         let cookies: Vec<u64> = done.iter().map(|r| r.cookie).collect();
         assert_eq!(cookies, (0..6).collect::<Vec<_>>(), "FIFO within the LUN");
         let shard = path.steer(5);
-        assert_eq!(path.set().shard_stats(shard).submitted, 6);
+        assert_eq!(path.set().shard_stats(shard).posted, 6);
         for other in (0..3).filter(|&s| s != shard) {
-            assert_eq!(path.set().shard_stats(other).submitted, 0);
+            assert_eq!(path.set().shard_stats(other).posted, 0);
         }
     }
 
@@ -512,7 +513,7 @@ mod tests {
         path.poll(&k).unwrap();
         assert_eq!(path.reclaim(&k).len(), 1);
         assert!(path.conserved());
-        assert_eq!(path.set().stats().submitted, 3);
+        assert_eq!(path.set().stats().posted, 3);
         assert_eq!(path.set().pool().stats().exhausted, 1);
     }
 
@@ -556,10 +557,10 @@ mod tests {
         // no origin record, no ring slot, no pool sector was touched.
         path.submit_out(&k, 0, 2, &[1; 64], 0).unwrap();
         path.submit_out(&k, 1, 2, &[1; 64], 1).unwrap();
-        let before = path.set().stats().submitted;
+        let before = path.set().stats().posted;
         let err = path.submit_out(&k, 0, 2, &[1; 64], 2).unwrap_err();
         assert!(matches!(err, XpcError::AdmissionReject(_)), "{err}");
-        assert_eq!(path.set().stats().submitted, before, "nothing was queued");
+        assert_eq!(path.set().stats().posted, before, "nothing was queued");
         // Virtual time refills the bucket and the retry goes through.
         k.run_for(1_000_001);
         path.submit_out(&k, 0, 2, &[1; 64], 2).unwrap();

@@ -1,9 +1,10 @@
-//! The request/response data-path channel for URB-shaped (storage/USB)
-//! transfers: the storage sibling of [`crate::DataPathChannel`].
+//! The request/response data path for URB-shaped (storage/USB)
+//! transfers: the storage specialization of [`crate::RingProducer`].
 //!
 //! The NIC data path is a pair of unidirectional streams; a storage
-//! data path is a stream of *transactions*. A [`UrbDataPath`] pairs an
-//! [`XpcChannel`] with the [`decaf_shmring`] URB pieces:
+//! data path is a stream of *transactions*. A [`UrbDataPath`] rides the
+//! same producer core (ring push, coalesced doorbell) as
+//! [`crate::DataPathChannel`] and adds the [`decaf_shmring`] URB pieces:
 //!
 //! * the **submitter** (the nucleus' USB core) allocates a
 //!   variable-length scatter-gather chain — one contiguous run when the
@@ -15,10 +16,11 @@
 //!   arguments, coalesced by a [`DoorbellPolicy`] exactly like the NIC
 //!   paths: ring at a watermark, or once the oldest request has waited
 //!   out the coalescing deadline;
-//! * the **completer** (the decaf driver's drain handler) consumes
-//!   requests, programs the hardware straight from the shared sector
-//!   run, and pushes each descriptor — now carrying `status` and the
-//!   *actual* transferred length — onto the **giveback ring**;
+//! * the **completer** (the decaf driver's drain handler, through a
+//!   [`crate::RingEnd`]) consumes requests, programs the hardware
+//!   straight from the shared sector run, and pushes each descriptor —
+//!   now carrying `status` and the *actual* transferred length — onto
+//!   the **giveback ring**;
 //! * the submitter [`UrbDataPath::reclaim`]s givebacks: OUT runs are
 //!   freed, IN runs are read *in place* (the ownership handback — the
 //!   completion carries the run, not a copied payload) and then freed.
@@ -30,12 +32,10 @@
 use std::cell::Cell;
 use std::rc::Rc;
 
-use decaf_shmring::{
-    DoorbellPolicy, PoolError, RingError, SectorPool, ShmRing, UrbDescriptor, XferDir,
-};
+use decaf_shmring::{DoorbellPolicy, PoolError, SectorPool, ShmRing, UrbDescriptor, XferDir};
 use decaf_simkernel::Kernel;
-use decaf_xdr::XdrValue;
 
+use crate::datapath::RingProducer;
 use crate::domain::Domain;
 use crate::endpoint::XpcChannel;
 use crate::error::{XpcError, XpcResult};
@@ -81,19 +81,17 @@ impl UrbReclaim {
     }
 }
 
-/// Submitter-side handle: posts URB requests, coalesces doorbells,
-/// reclaims givebacks.
-pub struct UrbDataPath {
-    channel: Rc<XpcChannel>,
-    producer: Domain,
-    submit: Rc<ShmRing<UrbDescriptor>>,
-    giveback: Rc<ShmRing<UrbDescriptor>>,
+/// The storage payload side of a [`UrbDataPath`]: the shared sector
+/// pool and the submitter's URB ledger.
+pub struct UrbLedger {
     pool: Rc<SectorPool>,
-    policy: DoorbellPolicy,
-    doorbell_proc: String,
     in_flight: Cell<u64>,
     stats: Cell<UrbPathStats>,
 }
+
+/// The storage data path: URB requests and givebacks over a shared
+/// [`SectorPool`].
+pub type UrbDataPath = RingProducer<UrbDescriptor, UrbLedger>;
 
 impl UrbDataPath {
     /// Builds a URB data path whose requests flow `producer` → peer and
@@ -109,82 +107,48 @@ impl UrbDataPath {
         pool: Rc<SectorPool>,
         policy: DoorbellPolicy,
     ) -> XpcResult<Rc<Self>> {
-        channel.peer_domain(producer)?;
-        Ok(Rc::new(UrbDataPath {
-            channel,
-            producer,
-            submit,
-            giveback,
+        let ledger = UrbLedger {
             pool,
-            policy,
-            doorbell_proc: doorbell_proc.into(),
             in_flight: Cell::new(0),
             stats: Cell::new(UrbPathStats::default()),
-        }))
-    }
-
-    /// The underlying control channel.
-    pub fn channel(&self) -> &Rc<XpcChannel> {
-        &self.channel
+        };
+        Self::build(
+            channel,
+            producer,
+            doorbell_proc,
+            submit,
+            giveback,
+            ledger,
+            policy,
+        )
     }
 
     /// The shared sector pool.
     pub fn pool(&self) -> &Rc<SectorPool> {
-        &self.pool
-    }
-
-    /// The submit ring (requests, submitter → completer).
-    pub fn submit_ring(&self) -> &Rc<ShmRing<UrbDescriptor>> {
-        &self.submit
-    }
-
-    /// The giveback ring (completions, completer → submitter).
-    pub fn giveback_ring(&self) -> &Rc<ShmRing<UrbDescriptor>> {
-        &self.giveback
-    }
-
-    /// Requests posted and not yet drained by a doorbell.
-    pub fn pending(&self) -> usize {
-        self.submit.len()
+        &self.payload.pool
     }
 
     /// URBs submitted and not yet given back.
     pub fn in_flight(&self) -> u64 {
-        self.in_flight.get()
+        self.payload.in_flight.get()
     }
 
     /// Counter snapshot.
     pub fn stats(&self) -> UrbPathStats {
-        self.stats.get()
+        self.payload.stats.get()
     }
 
     /// The conservation invariant: every URB ever submitted is either
     /// given back or still in flight.
     pub fn conserved(&self) -> bool {
-        let s = self.stats.get();
-        s.submitted == s.given_back + self.in_flight.get()
+        let s = self.stats();
+        s.submitted == s.given_back + self.in_flight()
     }
 
     fn bump(&self, f: impl FnOnce(&mut UrbPathStats)) {
-        let mut s = self.stats.get();
+        let mut s = self.stats();
         f(&mut s);
-        self.stats.set(s);
-    }
-
-    fn map_pool_err(e: PoolError) -> XpcError {
-        XpcError::Backpressure(e.to_string())
-    }
-
-    /// An end handle for `domain` — what the completer's drain handler
-    /// captures instead of the whole path (no reference cycles through
-    /// registered procedures).
-    pub fn end(&self, domain: Domain) -> UrbEnd {
-        UrbEnd {
-            submit: Rc::clone(&self.submit),
-            giveback: Rc::clone(&self.giveback),
-            pool: Rc::clone(&self.pool),
-            domain,
-        }
+        self.payload.stats.set(s);
     }
 
     /// Submits a host-to-device transfer: allocates a scatter-gather
@@ -205,8 +169,8 @@ impl UrbDataPath {
         cookie: u64,
     ) -> XpcResult<()> {
         let chain = self.alloc_chain(kernel, payload.len())?;
-        if let Err(e) = self.pool.adopt_payload_sg(kernel, payload, chain) {
-            let _ = self.pool.free_sg(chain);
+        if let Err(e) = self.pool().adopt_payload_sg(kernel, payload, chain) {
+            let _ = self.pool().free_sg(chain);
             return Err(Self::map_pool_err(e));
         }
         self.submit(
@@ -241,10 +205,10 @@ impl UrbDataPath {
     /// refused descriptor's chain is freed: an error always means the
     /// URB was not submitted and nothing leaked.
     pub fn submit(&self, kernel: &Kernel, desc: UrbDescriptor) -> XpcResult<()> {
-        match self.pool.sg_capacity(desc.buf) {
+        match self.pool().sg_capacity(desc.buf) {
             Ok(cap) if cap >= desc.len as usize => self.post(kernel, desc),
             Ok(cap) => {
-                let _ = self.pool.free_sg(desc.buf);
+                let _ = self.pool().free_sg(desc.buf);
                 Err(XpcError::InvalidRequest(format!(
                     "URB requests {} bytes but its chain holds {cap}",
                     desc.len
@@ -257,14 +221,14 @@ impl UrbDataPath {
     }
 
     fn alloc_chain(&self, kernel: &Kernel, len: usize) -> XpcResult<decaf_shmring::SgHandle> {
-        match self.pool.alloc_sg(len) {
+        match self.pool().alloc_sg(len) {
             Ok(run) => {
                 kernel.trace_instant(
                     "pool",
                     "alloc",
                     &[
                         ("bytes", len as u64),
-                        ("in_use", self.pool.in_use_sectors() as u64),
+                        ("in_use", self.pool().in_use_sectors() as u64),
                     ],
                 );
                 Ok(run)
@@ -283,101 +247,28 @@ impl UrbDataPath {
     }
 
     fn post(&self, kernel: &Kernel, desc: UrbDescriptor) -> XpcResult<()> {
-        let chain = desc.buf;
-        let bytes = desc.len as u64;
-        match self.submit.push(kernel, self.producer.cpu_class(), desc) {
-            Ok(()) => {}
-            Err(RingError::Full) => {
-                let _ = self.pool.free_sg(chain);
-                // Same staged backpressure as sector exhaustion: force
-                // the completer to drain, so the caller's
-                // reclaim-and-retry can actually succeed.
-                let _ = self.ring_doorbell(kernel);
-                return Err(XpcError::Backpressure(format!(
-                    "ring `{}` full: reclaim givebacks and retry",
-                    self.submit.name()
-                )));
-            }
+        if self.push(kernel, desc, desc.len as u64).is_err() {
+            let _ = self.pool().free_sg(desc.buf);
+            // Same staged backpressure as sector exhaustion: force the
+            // completer to drain, so the caller's reclaim-and-retry can
+            // actually succeed.
+            let _ = self.ring_doorbell(kernel);
+            return Err(XpcError::Backpressure(format!(
+                "ring `{}` full: reclaim givebacks and retry",
+                self.ring().name()
+            )));
         }
-        self.policy.note_post(kernel.now_ns());
-        kernel.trace_instant(
-            "ring",
-            "post",
-            &[("occupancy", self.submit.len() as u64), ("bytes", bytes)],
-        );
-        let in_flight = self.in_flight.get() + 1;
-        self.in_flight.set(in_flight);
-        let hwm = self.submit.stats().occupancy_hwm;
+        let in_flight = self.in_flight() + 1;
+        self.payload.in_flight.set(in_flight);
         self.bump(|s| {
             s.submitted += 1;
             s.in_flight_hwm = s.in_flight_hwm.max(in_flight);
-        });
-        self.channel.bump(|s| {
-            s.ring_posts += 1;
-            s.ring_occupancy_hwm = s.ring_occupancy_hwm.max(hwm);
         });
         // The URB is committed; the doorbell is best-effort (a completer
         // fault is contained by the XPC layer and the deadline poll
         // retries the crossing).
         let _ = self.maybe_ring(kernel);
         Ok(())
-    }
-
-    /// Rings the doorbell if the policy says the parked requests are due
-    /// (watermark reached or coalescing deadline expired).
-    pub fn maybe_ring(&self, kernel: &Kernel) -> XpcResult<bool> {
-        if self.policy.due(kernel.now_ns(), self.submit.len()) {
-            self.ring_doorbell(kernel)?;
-            return Ok(true);
-        }
-        if !self.submit.is_empty() {
-            kernel.trace_instant(
-                "ring",
-                "coalesce",
-                &[
-                    ("parked", self.submit.len() as u64),
-                    (
-                        "age_ns",
-                        self.policy.armed_age_ns(kernel.now_ns()).unwrap_or(0),
-                    ),
-                ],
-            );
-        }
-        Ok(false)
-    }
-
-    /// Rings the doorbell unconditionally (no-op on an empty submit
-    /// ring): one XPC crossing, zero object arguments, carrying only the
-    /// request count.
-    pub fn ring_doorbell(&self, kernel: &Kernel) -> XpcResult<()> {
-        if self.submit.is_empty() {
-            return Ok(());
-        }
-        let count = self.submit.len() as u32;
-        let _span = kernel.trace_span("ring", "doorbell");
-        kernel.trace_instant("ring", "ring", &[("descriptors", count as u64)]);
-        self.channel.call(
-            kernel,
-            self.producer,
-            &self.doorbell_proc,
-            &[],
-            &[XdrValue::UInt(count)],
-        )?;
-        self.channel.bump(|s| s.doorbells += 1);
-        // A completer that declined or drained under a budget may have
-        // left requests parked; re-arm the deadline for the survivors
-        // instead of disarming into the never-fires state.
-        self.policy
-            .rang_with_survivors(kernel.now_ns(), self.submit.len());
-        Ok(())
-    }
-
-    /// Submitter-side poll hook (call from a timer's work item): rings
-    /// the doorbell if the coalescing deadline has expired on parked
-    /// requests. Returns whether a doorbell was rung; the caller
-    /// reclaims givebacks afterwards either way.
-    pub fn poll(&self, kernel: &Kernel) -> XpcResult<bool> {
-        self.maybe_ring(kernel)
     }
 
     /// Drains the giveback ring: for every completed descriptor, reads
@@ -391,10 +282,10 @@ impl UrbDataPath {
     /// does not hold, is dropped — no reclaim, no ledger change — and
     /// counted in [`UrbPathStats::rejected_givebacks`].
     pub fn reclaim(&self, kernel: &Kernel) -> Vec<UrbReclaim> {
-        let done = self.giveback.drain(kernel, self.producer.cpu_class());
+        let done = self.completions().drain(kernel, self.producer.cpu_class());
         let mut out = Vec::with_capacity(done.len());
         for d in &done {
-            if self.in_flight.get() == 0 {
+            if self.in_flight() == 0 {
                 self.bump(|s| s.rejected_givebacks += 1);
                 continue;
             }
@@ -402,18 +293,18 @@ impl UrbDataPath {
             // surface as -EIO, never masquerade as a successful
             // zero-byte read.
             let (status, data) = if d.dir == XferDir::In && d.ok() {
-                match self.pool.read_payload_sg(d.buf, d.actual as usize) {
+                match self.pool().read_payload_sg(d.buf, d.actual as usize) {
                     Ok(data) => (d.status, data),
                     Err(_) => (-5, Vec::new()),
                 }
             } else {
                 (d.status, Vec::new())
             };
-            if self.pool.free_sg(d.buf).is_err() {
+            if self.pool().free_sg(d.buf).is_err() {
                 self.bump(|s| s.rejected_givebacks += 1);
                 continue;
             }
-            self.in_flight.set(self.in_flight.get() - 1);
+            self.payload.in_flight.set(self.in_flight() - 1);
             self.bump(|s| s.given_back += 1);
             out.push(UrbReclaim {
                 cookie: d.cookie,
@@ -439,53 +330,6 @@ impl UrbDataPath {
     }
 }
 
-impl std::fmt::Debug for UrbDataPath {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("UrbDataPath")
-            .field("producer", &self.producer)
-            .field("submit", &self.submit.name())
-            .field("pending", &self.submit.len())
-            .field("in_flight", &self.in_flight.get())
-            .finish()
-    }
-}
-
-/// The completer's view of the shared rings: just `Rc`s to pinned
-/// memory, so drain handlers capture it without creating a reference
-/// cycle through the channel's procedure table.
-#[derive(Clone)]
-pub struct UrbEnd {
-    submit: Rc<ShmRing<UrbDescriptor>>,
-    giveback: Rc<ShmRing<UrbDescriptor>>,
-    pool: Rc<SectorPool>,
-    domain: Domain,
-}
-
-impl UrbEnd {
-    /// The shared sector pool (for [`SectorPool::sg_segments`]: the
-    /// completer programs the hardware straight from the chain's DMA
-    /// extents, one transfer descriptor per segment).
-    pub fn pool(&self) -> &Rc<SectorPool> {
-        &self.pool
-    }
-
-    /// Pops every posted request, oldest first — FIFO order is what
-    /// keeps multi-URB transactions (command, then data stage) correct.
-    pub fn consume(&self, kernel: &Kernel) -> Vec<UrbDescriptor> {
-        self.submit.drain(kernel, self.domain.cpu_class())
-    }
-
-    /// Hands a completed descriptor (response fields filled in via
-    /// [`UrbDescriptor::completed`]) back through the giveback ring.
-    pub fn complete(&self, kernel: &Kernel, desc: UrbDescriptor) -> XpcResult<()> {
-        self.giveback
-            .push(kernel, self.domain.cpu_class(), desc)
-            .map_err(|_| {
-                XpcError::Backpressure(format!("giveback ring `{}` full", self.giveback.name()))
-            })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -493,7 +337,7 @@ mod tests {
     use decaf_shmring::SgHandle;
     use decaf_simkernel::costs;
     use decaf_xdr::mask::MaskSet;
-    use decaf_xdr::XdrSpec;
+    use decaf_xdr::{XdrSpec, XdrValue};
 
     fn channel() -> Rc<XpcChannel> {
         Rc::new(XpcChannel::new(
@@ -507,7 +351,9 @@ mod tests {
 
     /// A completer that echoes OUT payload lengths and "reads" 100 bytes
     /// for IN requests (a short read against 512-byte runs).
-    fn register_drain(ch: &Rc<XpcChannel>, end: UrbEnd) {
+    fn register_drain(ch: &Rc<XpcChannel>, dp: &UrbDataPath) {
+        let end = dp.end(Domain::Decaf);
+        let pool = Rc::clone(dp.pool());
         ch.register_proc(
             Domain::Decaf,
             ProcDef {
@@ -515,7 +361,7 @@ mod tests {
                 arg_types: vec![],
                 handler: Rc::new(move |k, _, _, _| {
                     for d in end.consume(k) {
-                        let segs = end.pool().sg_segments(d.buf).expect("live chain");
+                        let segs = pool.sg_segments(d.buf).expect("live chain");
                         assert!(segs.iter().all(|s| s.offset < 512 * 64));
                         let actual = match d.dir {
                             XferDir::Out => d.len,
@@ -543,7 +389,7 @@ mod tests {
             DoorbellPolicy::with_watermark(watermark),
         )
         .unwrap();
-        register_drain(&ch, dp.end(Domain::Decaf));
+        register_drain(&ch, &dp);
         (k, dp)
     }
 
@@ -590,9 +436,9 @@ mod tests {
         let (k, dp) = path(8);
         dp.submit_out(&k, 2, b"cmd", 1).unwrap();
         assert_eq!(dp.pending(), 1, "below watermark, parked");
-        assert!(!dp.poll(&k).unwrap());
+        assert!(!dp.maybe_ring(&k).unwrap());
         k.run_for(costs::DOORBELL_COALESCE_NS + 1);
-        assert!(dp.poll(&k).unwrap(), "coalescing deadline expired");
+        assert!(dp.maybe_ring(&k).unwrap(), "coalescing deadline expired");
         assert_eq!(dp.reclaim(&k).len(), 1);
     }
 
@@ -640,11 +486,14 @@ mod tests {
         dp.submit_out(&k, 2, b"data", 1).unwrap();
         dp.ring_doorbell(&k).unwrap();
         assert_eq!(dp.pending(), 2, "busy completer declined the drain");
-        assert!(!dp.poll(&k).unwrap(), "survivor window not expired yet");
+        assert!(
+            !dp.maybe_ring(&k).unwrap(),
+            "survivor window not expired yet"
+        );
         busy.set(false);
         k.run_for(costs::DOORBELL_COALESCE_NS + 1);
         assert!(
-            dp.poll(&k).unwrap(),
+            dp.maybe_ring(&k).unwrap(),
             "survivors must deadline-fire within one window"
         );
         assert_eq!(dp.reclaim(&k).len(), 2);
@@ -665,7 +514,7 @@ mod tests {
             DoorbellPolicy::with_watermark(64),
         )
         .unwrap();
-        register_drain(&ch, dp.end(Domain::Decaf));
+        register_drain(&ch, &dp);
         dp.submit_out(&k, 2, &[1; 512], 0).unwrap();
         dp.submit_out(&k, 2, &[1; 512], 1).unwrap();
         // Pool exhausted: the path forces a drain and backpressures.
@@ -695,7 +544,7 @@ mod tests {
             DoorbellPolicy::with_watermark(64),
         )
         .unwrap();
-        register_drain(&ch, dp.end(Domain::Decaf));
+        register_drain(&ch, &dp);
         dp.submit_out(&k, 2, &[1; 64], 0).unwrap();
         dp.submit_out(&k, 2, &[1; 64], 1).unwrap();
         // Ring full: the refusal must force a drain, not just refuse.

@@ -192,6 +192,12 @@ fn run_ring_conservation(shards: usize, schedule: &[usize]) {
     }
     assert_eq!(reclaimed, set.stats().posted, "schedule {schedule:?}");
     assert_eq!(reclaimed, schedule.len() as u64, "schedule {schedule:?}");
+    for shard in 0..shards {
+        assert!(
+            set.shard_conserved(shard),
+            "schedule {schedule:?}: shard {shard} not conserved"
+        );
+    }
     assert!(set.conserved(), "schedule {schedule:?}");
     assert_eq!(set.in_flight(), 0, "schedule {schedule:?}");
 }
