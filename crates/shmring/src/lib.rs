@@ -109,10 +109,12 @@ pub mod ring;
 pub mod ringset;
 pub mod sector;
 pub mod urb;
+pub mod urbset;
 
 pub use doorbell::DoorbellPolicy;
 pub use pool::{BufHandle, BufPool, PoolError, PoolStats};
 pub use ring::{Descriptor, RingError, RingStats, ShmRing, SlotOwner};
-pub use ringset::{flow_hash, RingSet, RingSetError, RingSetStats, Slot, UrbRingSet};
+pub use ringset::{flow_hash, RingSet, RingSetError, RingSetStats, Slot};
 pub use sector::{SectorPool, SectorPoolStats, SgHandle, SgSegment};
 pub use urb::{UrbDescriptor, XferDir};
+pub use urbset::UrbRingSet;

@@ -36,7 +36,6 @@ use std::rc::Rc;
 use decaf_simkernel::{CpuClass, Kernel};
 
 use crate::ring::{Descriptor, RingError, ShmRing};
-use crate::sector::SectorPool;
 use crate::urb::UrbDescriptor;
 
 /// Oracle-sensitivity seam for the storage fault-exploration harness
@@ -142,10 +141,6 @@ pub fn flow_hash(key: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// The storage ring set: URB submit/giveback ring pairs over one shared
-/// sector pool.
-pub type UrbRingSet = RingSet<UrbDescriptor, Rc<SectorPool>>;
-
 /// One noted post: where it went, and the shard's high-water mark
 /// before the note (restored on cancel).
 #[derive(Debug, Clone, Copy)]
@@ -186,18 +181,6 @@ impl<D: Slot> RingSet<D> {
     /// Panics if `shards` is zero.
     pub fn new(name: &str, shards: usize, capacity: usize, completion_capacity: usize) -> Rc<Self> {
         Self::with_pool(name, shards, capacity, completion_capacity, ())
-    }
-}
-
-impl UrbRingSet {
-    /// Shard `i`'s submit ring (requests, submitter → completer).
-    pub fn submit_ring(&self, shard: usize) -> &Rc<ShmRing<UrbDescriptor>> {
-        self.ring(shard)
-    }
-
-    /// Shard `i`'s giveback ring (completions, completer → submitter).
-    pub fn giveback_ring(&self, shard: usize) -> &Rc<ShmRing<UrbDescriptor>> {
-        self.completions(shard)
     }
 }
 
@@ -430,6 +413,7 @@ mod tests {
 
     use super::*;
     use crate::pool::BufHandle;
+    use crate::sector::SectorPool;
 
     /// What the table needs from a slot type beyond [`Slot`]: a pool to
     /// lend payload from, a descriptor per cookie, and the completer's
